@@ -7,7 +7,7 @@ use sgprs_workload::{fig1, report};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let csv = args.iter().any(|a| a == "--csv");
+    let csv = sgprs_bench::has_flag(&args, "--csv");
     let curves = fig1::generate();
     if csv {
         print!("{}", report::fig1_csv(&curves));

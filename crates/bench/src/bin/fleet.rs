@@ -104,7 +104,7 @@ fn timed_run(scenario: &FleetScenario) -> (FleetMetrics, f64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (sim_secs, csv) = sgprs_bench::parse_args(&args);
-    let telemetry_csv = args.iter().any(|a| a == "--telemetry-csv");
+    let telemetry_csv = sgprs_bench::has_flag(&args, "--telemetry-csv");
     let sim_secs = sim_secs.max(4);
 
     if csv {

@@ -20,6 +20,7 @@
 //!       [--nodes N] [--sim-secs S] [--raw] [--baseline PATH] [--write-baseline PATH]`
 
 use sgprs_bench::report::{gate_against_baseline, AllocStats, BenchReport, CountingAlloc};
+use sgprs_bench::{arg_value, has_flag};
 use sgprs_cluster::{Fleet, Span, SpanProfile};
 use sgprs_rt::SimDuration;
 use sgprs_workload::FleetScenario;
@@ -46,54 +47,17 @@ struct Args {
     write_baseline: Option<String>,
 }
 
-fn parse(args: &[String]) -> Args {
-    let mut out = Args {
-        nodes: DEFAULT_NODES,
-        sim_secs: DEFAULT_SIM_SECS,
-        raw: false,
-        baseline: None,
-        write_baseline: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    out.nodes = v;
-                    i += 1;
-                }
-            }
-            "--sim-secs" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    out.sim_secs = v;
-                    i += 1;
-                }
-            }
-            "--raw" => out.raw = true,
-            "--baseline" => {
-                if let Some(v) = args.get(i + 1) {
-                    out.baseline = Some(v.clone());
-                    i += 1;
-                }
-            }
-            "--write-baseline" => {
-                if let Some(v) = args.get(i + 1) {
-                    out.write_baseline = Some(v.clone());
-                    i += 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out.nodes = out.nodes.max(1);
-    out.sim_secs = out.sim_secs.max(1);
-    out
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse(&argv);
+    let args = Args {
+        nodes: arg_value(&argv, "--nodes").unwrap_or(DEFAULT_NODES).max(1),
+        sim_secs: arg_value(&argv, "--sim-secs")
+            .unwrap_or(DEFAULT_SIM_SECS)
+            .max(1),
+        raw: has_flag(&argv, "--raw"),
+        baseline: arg_value(&argv, "--baseline"),
+        write_baseline: arg_value(&argv, "--write-baseline"),
+    };
 
     // The gated workload: metro-scale heterogeneous fleet (p2c shard
     // routing, earliest-deadline queues, repricing) on the event

@@ -12,6 +12,7 @@
 //!     [--tenants N] [--csv]`
 
 use sgprs_bench::report::{AllocStats, BenchReport, CountingAlloc};
+use sgprs_bench::{arg_value, has_flag};
 use sgprs_cluster::{
     ArrivalStream, ChurnConfig, Fleet, FleetConfig, NodeSpec, PlacementPolicy, Span,
 };
@@ -28,30 +29,10 @@ const NODES: usize = 1000;
 /// fixes the simulated horizon.
 const INTERARRIVAL_MS: u64 = 2;
 
-/// Parses `--tenants N` / `--csv`. Returns `(tenants, csv)`.
-fn parse(args: &[String]) -> (u64, bool) {
-    let mut tenants: u64 = 1_000_000;
-    let mut csv = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tenants" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    tenants = v;
-                    i += 1;
-                }
-            }
-            "--csv" => csv = true,
-            _ => {}
-        }
-        i += 1;
-    }
-    (tenants.max(1), csv)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (tenants, csv) = parse(&args);
+    let tenants: u64 = arg_value(&args, "--tenants").unwrap_or(1_000_000).max(1);
+    let csv = has_flag(&args, "--csv");
 
     // Horizon sized so the sampler emits at least `tenants` arrivals
     // (5% headroom over the mean absorbs interarrival jitter); short

@@ -1,4 +1,4 @@
-//! Shared helpers for the SGPRS benchmark binaries and Criterion benches.
+//! Shared helpers for the SGPRS benchmark binaries.
 //!
 //! The binaries regenerate the paper's figures:
 //!
@@ -22,6 +22,7 @@
 pub mod report;
 
 use sgprs_workload::sweep::SweepSeries;
+use std::str::FromStr;
 
 /// The task counts swept in Figures 3 and 4 (1..=30).
 #[must_use]
@@ -33,27 +34,31 @@ pub fn paper_task_counts() -> Vec<usize> {
 /// seconds ≈ 300 releases per task, enough for stable FPS/DMR estimates.
 pub const DEFAULT_SIM_SECS: u64 = 10;
 
-/// Parses a `--sim-secs N` / `--csv` style argument list shared by the
-/// figure binaries. Returns `(sim_secs, csv)`.
+/// The parsed value following the last `name` flag in `args` that has
+/// one; `None` when the flag is absent or its value does not parse, so
+/// junk falls back to the caller's default. Unknown flags are ignored.
+#[must_use]
+pub fn arg_value<T: FromStr>(args: &[String], name: &str) -> Option<T> {
+    args.windows(2)
+        .rev()
+        .filter(|w| w[0] == name)
+        .find_map(|w| w[1].parse().ok())
+}
+
+/// Whether the bare flag `name` appears in `args`.
+#[must_use]
+pub fn has_flag(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
+}
+
+/// Parses the `--sim-secs N` / `--csv` arguments shared by the figure
+/// binaries. Returns `(sim_secs, csv)`.
 #[must_use]
 pub fn parse_args(args: &[String]) -> (u64, bool) {
-    let mut sim_secs = DEFAULT_SIM_SECS;
-    let mut csv = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sim-secs" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    sim_secs = v;
-                    i += 1;
-                }
-            }
-            "--csv" => csv = true,
-            _ => {}
-        }
-        i += 1;
-    }
-    (sim_secs, csv)
+    (
+        arg_value(args, "--sim-secs").unwrap_or(DEFAULT_SIM_SECS),
+        has_flag(args, "--csv"),
+    )
 }
 
 /// Emits a sweep in the selected format on stdout, FPS table first, then
@@ -86,13 +91,36 @@ mod tests {
 
     #[test]
     fn parse_args_defaults_and_overrides() {
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(parse_args(&[]), (DEFAULT_SIM_SECS, false));
-        let args: Vec<String> = ["--sim-secs", "3", "--csv"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_args(&args), (3, true));
-        let junk: Vec<String> = ["--sim-secs", "abc"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_args(&junk), (DEFAULT_SIM_SECS, false));
+        assert_eq!(parse_args(&argv(&["--sim-secs", "3", "--csv"])), (3, true));
+        assert_eq!(
+            parse_args(&argv(&["--sim-secs", "abc"])),
+            (DEFAULT_SIM_SECS, false)
+        );
+        assert_eq!(
+            parse_args(&argv(&["--sim-secs", "2", "--sim-secs", "5"])),
+            (5, false)
+        );
+        // The perf bins' flags go through the same two helpers.
+        let args = argv(&[
+            "--nodes",
+            "10000",
+            "--raw",
+            "--baseline",
+            "bench/baseline_10k.json",
+            "--tenants",
+            "lots",
+            "--unknown",
+        ]);
+        assert_eq!(arg_value::<usize>(&args, "--nodes"), Some(10_000));
+        assert!(has_flag(&args, "--raw"));
+        assert_eq!(
+            arg_value::<String>(&args, "--baseline").as_deref(),
+            Some("bench/baseline_10k.json")
+        );
+        assert_eq!(arg_value::<u64>(&args, "--tenants"), None, "junk value");
+        assert_eq!(arg_value::<String>(&args, "--write-baseline"), None);
+        assert_eq!(parse_args(&args), (DEFAULT_SIM_SECS, false));
     }
 }

@@ -197,8 +197,7 @@ impl BenchReport {
     }
 
     /// Renders the report as pretty-printed JSON (hand-rolled, like the
-    /// deterministic fleet export — the vendored serde has no
-    /// serializer).
+    /// deterministic fleet export).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2_048);

@@ -17,12 +17,11 @@
 //!    count — the classic necessary condition for EDF-like policies.
 
 use crate::{FleetNode, TenantSpec};
-use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::SpeedupModel;
 use sgprs_rt::{analysis, TaskSet};
 
 /// Knobs of the admission controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionConfig {
     /// Fraction of the fluid capacity tenants may occupy (< 1 keeps
     /// headroom for jitter and stage imbalance).
@@ -49,7 +48,7 @@ impl Default for AdmissionConfig {
 }
 
 /// Why a tenant was turned away.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RejectReason {
     /// Even alone on the node's largest context, one inference cannot
     /// finish within the tenant's deadline — no schedule can serve it.
@@ -77,7 +76,7 @@ pub enum RejectReason {
 }
 
 /// Outcome of an admission test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionDecision {
     /// The node can carry the tenant.
     Admit {

@@ -10,11 +10,10 @@
 use crate::{ModelKind, TenantSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sgprs_rt::{SimDuration, SimTime};
 
 /// One churn event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChurnEvent {
     /// A tenant asks to be served.
     Arrival(TenantSpec),
@@ -23,13 +22,13 @@ pub enum ChurnEvent {
 }
 
 /// A time-ordered churn trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnTrace {
     events: Vec<(SimTime, ChurnEvent)>,
 }
 
 /// Parameters of the seeded churn generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnConfig {
     /// Mean gap between tenant arrivals.
     pub mean_interarrival: SimDuration,

@@ -6,12 +6,12 @@
 //! re-pricing ladder walk, queue feasibility and demand-aware expiry,
 //! upgrade candidates, and migration victim/destination choice — lives
 //! in the shared [`crate::policy`] kernel, consumed identically by this
-//! epoch path, the event engine ([`crate::event`]), and the sharded
-//! front door ([`crate::ShardedFleet`]). Configuration lives in
-//! [`crate::config`]. What remains here is the epoch loop, the shared
-//! dispatch/queue/upgrade *orchestration* both engines call, and the
-//! shared accounting helpers that fold outcomes into
-//! [`FleetMetricsBuilder`] so the two engines cannot drift.
+//! epoch path and the event engine ([`crate::event`]), flat or sharded
+//! alike. Configuration lives in [`crate::config`]. What remains here
+//! is the epoch loop, the shared dispatch/queue/upgrade *orchestration*
+//! both engines call, and the shared accounting helpers that fold
+//! outcomes into [`FleetMetricsBuilder`] so the two engines cannot
+//! drift.
 //!
 //! # Interned tenant ids
 //!
@@ -73,7 +73,6 @@
 use crate::interner::{TenantId, TenantInterner};
 use crate::policy::{self, DispatchPlanner, FleetState, PricedPlan, QueueAdmission};
 use crate::queue::DispatchQueue;
-use crate::shard::ShardDirectory;
 use crate::telemetry::{Span, SpanProfile, Telemetry, PLAN_LATENCY_BINS};
 use crate::{
     AdmissionController, ArrivalStream, ChurnEvent, FleetConfig, FleetMetrics,
@@ -302,7 +301,8 @@ impl Fleet {
     }
 
     /// The shard directory, when sharding is configured.
-    pub(crate) fn router(&self) -> Option<&ShardDirectory> {
+    #[cfg(test)]
+    pub(crate) fn router(&self) -> Option<&crate::shard::ShardDirectory> {
         self.planner.router()
     }
 
@@ -1319,11 +1319,11 @@ fn run_node_epochs(
         for (i, job) in jobs.into_iter().enumerate() {
             buckets[i % workers].push(job);
         }
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = buckets
                 .into_iter()
                 .map(|bucket| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         bucket
                             .into_iter()
                             .map(|job| job.run(nodes, epoch_len))
@@ -1336,7 +1336,6 @@ fn run_node_epochs(
                 .flat_map(|h| h.join().expect("invariant: node epoch workers never panic"))
                 .collect()
         })
-        .expect("invariant: epoch worker scope never fails")
     };
     results.sort_by_key(|&(idx, _)| idx);
     results

@@ -66,8 +66,9 @@
 //!   [`TenantSpec::fps_ladder`] step instead of rejecting, upgrade back
 //!   in place when capacity frees — both directions are SGPRS partition
 //!   switches, never migrations.
-//! * [`ShardedFleet`] / [`ShardConfig`] / [`ShardRouter`] — two-level
-//!   dispatch: cached per-shard capacity summaries route each arrival
+//! * [`ShardConfig`] / [`ShardRouter`] — two-level dispatch, enabled by
+//!   [`FleetConfig::with_sharding`] / [`FleetConfig::with_p2c_sharding`]:
+//!   cached per-shard capacity summaries route each arrival
 //!   to a shard, the placement policy runs inside it —
 //!   O(shards + nodes/shard) under the ordered [`ShardRouter::Scan`],
 //!   or O(1) in the shard count under power-of-two-choices
@@ -137,7 +138,7 @@ pub use interner::{TenantId, TenantInterner};
 pub use stream::ArrivalStream;
 pub use policy::{FleetState, MigrationVictimPolicy};
 pub use queue::{QueueConfig, QueuePolicy, AGING_QUANTUM};
-pub use shard::{ShardConfig, ShardRouter, ShardedFleet};
+pub use shard::{ShardConfig, ShardRouter};
 pub use metrics::{
     FleetMetrics, FleetMetricsBuilder, NodeReport, BASE_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
     UTILIZATION_BINS,

@@ -7,7 +7,6 @@
 //! renders them as JSON for downstream tooling.
 
 use crate::telemetry::TelemetryReport;
-use serde::{Deserialize, Serialize};
 use sgprs_core::RunMetrics;
 use sgprs_rt::SimDuration;
 
@@ -37,7 +36,7 @@ pub const METRICS_SCHEMA_VERSION: u32 = 3;
 pub const BASE_SCHEMA_VERSION: u32 = 2;
 
 /// Accumulated results for one node across every epoch of a fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeReport {
     /// Node name.
     pub name: String,
@@ -60,7 +59,7 @@ pub struct NodeReport {
 }
 
 /// Aggregated results of one fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetMetrics {
     /// Simulated run length.
     pub window: SimDuration,
@@ -152,8 +151,8 @@ pub struct FleetMetrics {
 }
 
 impl FleetMetrics {
-    /// Renders the metrics as pretty-printed JSON (hand-rolled: the
-    /// vendored serde stand-in has no serializer).
+    /// Renders the metrics as pretty-printed JSON (hand-rolled, so the
+    /// field order and float formatting are fixed by this function).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);

@@ -1,7 +1,6 @@
 //! Fleet nodes: one simulated GPU plus the scheduler that drives it.
 
 use crate::TenantSpec;
-use serde::{Deserialize, Serialize};
 use sgprs_core::{
     ContextPoolSpec, NaiveConfig, NaiveScheduler, ReconfigConfig, ReconfigScheduler, RunMetrics,
     SgprsConfig, SgprsScheduler,
@@ -10,7 +9,7 @@ use sgprs_gpu_sim::{GpuSpec, SpeedupModel};
 use sgprs_rt::{SimDuration, SimTime};
 
 /// Which scheduler a node runs over its context pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeScheduler {
     /// SGPRS with the given over-subscription factor (the fleet default).
     Sgprs {
@@ -25,7 +24,7 @@ pub enum NodeScheduler {
 
 /// Static description of one fleet node: the device, how it is
 /// partitioned, and which scheduler runs on it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Node name for reports (e.g. `"gpu0"`).
     pub name: String,

@@ -14,10 +14,9 @@
 //!   keeping whole nodes free for heavy tenants).
 
 use crate::{AdmissionController, AdmissionDecision, FleetNode, TenantSpec};
-use serde::{Deserialize, Serialize};
 
 /// The placement policy a fleet dispatches with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Rotate through nodes in order, taking the first that admits.
     RoundRobin,

@@ -2,9 +2,9 @@
 //! every fleet execution engine.
 //!
 //! The fleet simulates time two ways — the epoch grid ([`crate::Fleet::run`])
-//! and the discrete-event engine ([`crate::Fleet::run_events`]) — and a
-//! third front door ([`crate::ShardedFleet`]) wraps whichever is
-//! configured. All three must *decide* identically: who is admitted and
+//! and the discrete-event engine ([`crate::Fleet::run_events`]) — over a
+//! flat or a sharded node set ([`crate::ShardConfig`]). Every combination
+//! must *decide* identically: who is admitted and
 //! where, in what order the wait queue drains, which ladder step a
 //! re-priced tenant serves at, which tenant a hot node sheds, and where
 //! the migrant lands. This module is the single home of those decisions;
@@ -46,14 +46,13 @@
 
 use crate::shard::{ShardConfig, ShardDirectory};
 use crate::{AdmissionController, FleetNode, Placer, PlacementPolicy, TenantSpec};
-use serde::{Deserialize, Serialize};
 use sgprs_rt::SimDuration;
 
 /// A read-only view of the fleet the policy kernel decides over: the
 /// nodes (with their resident tenants) and the admission controller.
-/// Both execution engines and the sharded front door build the same
-/// view, so a decision is a function of fleet *state*, never of the
-/// engine driving it.
+/// Both execution engines build the same view, flat or sharded, so a
+/// decision is a function of fleet *state*, never of the engine driving
+/// it.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetState<'a> {
     /// The nodes, in dispatch order, with their resident tenants.
@@ -89,7 +88,7 @@ pub(crate) struct QueueAdmission {
 }
 
 /// How a node over the DMR threshold chooses which resident to shed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MigrationVictimPolicy {
     /// The most recently placed tenant (the classic PR-2 behaviour and
     /// the default): cheap and stable, but blind to how much relief the
@@ -153,6 +152,7 @@ impl DispatchPlanner {
     }
 
     /// The shard directory, when sharding is configured.
+    #[cfg(test)]
     pub(crate) fn router(&self) -> Option<&ShardDirectory> {
         self.router.as_ref()
     }

@@ -33,11 +33,10 @@
 
 use crate::interner::TenantId;
 use crate::TenantSpec;
-use serde::{Deserialize, Serialize};
 use sgprs_rt::{SimDuration, SimTime};
 
 /// Retry order of the dispatch wait queue.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueuePolicy {
     /// Arrival order, no overtaking (the original dispatcher semantics).
     #[default]
@@ -70,7 +69,7 @@ impl core::fmt::Display for QueuePolicy {
 }
 
 /// Queueing knobs of a [`crate::Fleet`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueConfig {
     /// Retry order of the wait queue.
     pub policy: QueuePolicy,

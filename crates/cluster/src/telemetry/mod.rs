@@ -53,7 +53,6 @@ pub use trace::{ArrivalVerdict, TraceEvent};
 
 use crate::DispatchOutcome;
 use prof::SpanProfiler;
-use serde::{Deserialize, Serialize};
 use sgprs_rt::{SimDuration, SimTime};
 use trace::{ProfileCounters, TraceRing};
 use window::{WindowSeries, WindowStats};
@@ -146,7 +145,7 @@ impl TelemetryConfig {
 }
 
 /// Quantile summary of one sketch, in milliseconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SketchSummary {
     /// Samples observed.
     pub count: u64,
@@ -181,7 +180,7 @@ impl SketchSummary {
 }
 
 /// One time-series window of the finished report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowReport {
     /// Window start, seconds from the run origin.
     pub start_secs: f64,
@@ -216,7 +215,7 @@ pub struct WindowReport {
 }
 
 /// Deterministic hot-path profile counters of the finished report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Placement plans evaluated (arrival dispatch + queue drains).
     pub plans: u64,
@@ -236,7 +235,7 @@ pub struct ProfileReport {
 /// The finished telemetry of one run, carried on
 /// [`crate::FleetMetrics::telemetry`] and rendered into the schema-v3
 /// JSON export.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryReport {
     /// Time-series window length, seconds.
     pub window_secs: f64,

@@ -7,13 +7,12 @@
 //! frame rate, stage count — compiled on demand for whichever node it
 //! lands on.
 
-use serde::{Deserialize, Serialize};
 use sgprs_core::{offline, CompiledTask, ContextPoolSpec};
 use sgprs_dnn::{models, CostModel, Network};
 use sgprs_rt::SimDuration;
 
 /// The reference architectures a tenant can serve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// ResNet-18 (the paper's evaluation network).
     ResNet18,
@@ -94,7 +93,7 @@ impl core::fmt::Display for ModelKind {
 
 /// A periodic inference service as the dispatcher sees it: which model,
 /// how often, and how finely staged — independent of any GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Unique tenant name.
     ///

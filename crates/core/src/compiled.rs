@@ -1,6 +1,5 @@
 //! Compiled tasks: the offline phase's output.
 
-use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::WorkProfile;
 use sgprs_rt::PeriodicTaskSpec;
 
@@ -10,7 +9,7 @@ use sgprs_rt::PeriodicTaskSpec;
 /// `spec.stages[j]` and `stage_profiles[j]` describe the same stage: the
 /// former carries the real-time view (WCET `Ci^j`, virtual deadline `Di^j`,
 /// offline priority), the latter the device view (operation mix).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTask {
     /// The real-time task specification with all offline fields assigned.
     pub spec: PeriodicTaskSpec,

@@ -1,6 +1,5 @@
 //! Scheduler configuration: context pools, admission, and ablation knobs.
 
-use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::{ContentionModel, GpuSpec};
 
 /// The context pool of §II: `np` CUDA contexts whose SM allocations sum to
@@ -16,7 +15,7 @@ use sgprs_gpu_sim::{ContentionModel, GpuSpec};
 /// let pool = ContextPoolSpec::new(3, 1.5);
 /// assert_eq!(pool.sm_allocations(), vec![34, 34, 34]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextPoolSpec {
     /// Number of contexts `np`.
     pub contexts: usize,
@@ -83,7 +82,7 @@ impl ContextPoolSpec {
 }
 
 /// Order used to serve each priority band's ready queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueOrder {
     /// Earliest deadline first — the paper's choice (§IV-B3).
     Edf,
@@ -93,7 +92,7 @@ pub enum QueueOrder {
 
 /// What happens when a period expires while the task's previous job is
 /// still in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// A single-slot frame buffer, newest frame wins: while a job is in
     /// flight the latest frame waits in the buffer (replacing — and
@@ -113,7 +112,7 @@ pub enum Admission {
 }
 
 /// Configuration of the SGPRS online scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SgprsConfig {
     /// The context pool.
     pub pool: ContextPoolSpec,
@@ -182,7 +181,7 @@ impl SgprsConfig {
 }
 
 /// Configuration of the naive spatial-partitioning baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NaiveConfig {
     /// Number of spatial partitions (the naive scheduler never
     /// over-subscribes: allocations always sum to the physical SM count).

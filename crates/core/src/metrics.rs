@@ -8,11 +8,10 @@
 //!   frame was dropped) counts as a miss, and a job that completes after
 //!   its absolute deadline counts as a miss.
 
-use serde::{Deserialize, Serialize};
 use sgprs_rt::{SimDuration, SimTime};
 
 /// Aggregated results of one scheduler run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     /// Length of the measurement window (excluding warm-up).
     pub window: SimDuration,
@@ -61,7 +60,7 @@ impl RunMetrics {
 }
 
 /// Per-task slice of [`RunMetrics`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskMetrics {
     /// Task name.
     pub name: String,

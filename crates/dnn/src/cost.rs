@@ -20,7 +20,6 @@
 //! low-millisecond range the paper's 30-fps evaluation implies.
 
 use crate::Layer;
-use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::OpClass;
 
 /// Maps layer FLOP/byte counts to single-SM nanoseconds.
@@ -37,7 +36,7 @@ use sgprs_gpu_sim::OpClass;
 /// // comes from the other layers).
 /// assert!(profile.fraction_of(sgprs_gpu_sim::OpClass::Convolution) > 0.8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// ns per FLOP for compute-bound classes (convolution, linear).
     pub compute_ns_per_flop: f64,

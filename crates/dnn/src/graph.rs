@@ -1,20 +1,17 @@
 //! Validated layer DAGs.
 
 use crate::{CostModel, DnnError, Layer, LayerKind, TensorShape};
-use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::WorkProfile;
 
 /// Index of a layer node within a [`Network`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// A DAG of layers with resolved shapes, built via [`NetworkBuilder`].
 ///
 /// Nodes are stored in insertion order, which the builder guarantees is a
 /// topological order (a layer can only consume already-built nodes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     /// Architecture name (e.g. `"resnet18"`).
     pub name: String,

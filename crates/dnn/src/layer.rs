@@ -1,11 +1,10 @@
 //! Layer definitions: shape inference and FLOP/byte accounting.
 
 use crate::{DnnError, TensorShape};
-use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::OpClass;
 
 /// The operator a layer performs, with its hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LayerKind {
     /// 2-D convolution with square kernels and symmetric padding.
@@ -208,7 +207,7 @@ impl LayerKind {
 }
 
 /// A placed layer in a [`crate::Network`]: kind + resolved shapes + costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Layer name, unique within its network.
     pub name: String,

@@ -7,11 +7,10 @@
 //! emits one [`sgprs_gpu_sim::WorkProfile`] per stage.
 
 use crate::{CostModel, DnnError, Network};
-use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::WorkProfile;
 
 /// One stage of a partitioned network: a contiguous run of layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// Stage name (`"stage0"`, ... or boundary-derived).
     pub name: String,

@@ -19,7 +19,6 @@
 //! times also become noisier — the paper's "higher over-subscription
 //! leads to poor predictability and increased resource contention".
 
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the global contention model.
 ///
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Execution-time jitter (sampled per kernel at submit time) has half-width
 /// `base_jitter + contention_jitter · (x − 1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionModel {
     /// Multiplexing efficiency loss per unit of overcommit (β).
     pub efficiency_loss: f64,

@@ -19,13 +19,10 @@
 use crate::{ContentionModel, GpuSimError, KernelDesc, SpeedupModel, TraceRecorder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sgprs_rt::{SimDuration, SimTime};
 
 /// Identifier of a context in the engine's context pool.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContextId(pub usize);
 
 impl core::fmt::Display for ContextId {
@@ -35,9 +32,7 @@ impl core::fmt::Display for ContextId {
 }
 
 /// Identifier of a stream within a context.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StreamId {
     /// Owning context.
     pub context: ContextId,
@@ -48,9 +43,7 @@ pub struct StreamId {
 /// CUDA stream priority class. SGPRS provisions two streams of each class
 /// per context (§IV-B3), so at most four stages run concurrently per
 /// context.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StreamClass {
     /// Low-priority hardware stream.
     Low,
@@ -68,7 +61,7 @@ impl core::fmt::Display for StreamClass {
 }
 
 /// Static configuration of one context (spatial partition).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContextConfig {
     /// SMs allocated to the context (the MPS-style partition size).
     pub sm_alloc: u32,
@@ -119,9 +112,7 @@ impl ContextConfig {
 }
 
 /// Unique handle of a submitted kernel.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KernelHandle(pub u64);
 
 /// A kernel-completion event produced by the engine.

@@ -7,11 +7,10 @@
 //! per-class speedup curves.
 
 use crate::{OpClass, SpeedupModel};
-use serde::{Deserialize, Serialize};
 use sgprs_rt::SimDuration;
 
 /// One homogeneous slice of a stage's work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkSegment {
     /// Operation class this slice belongs to.
     pub op: OpClass,
@@ -34,7 +33,7 @@ pub struct WorkSegment {
 /// let t1 = profile.duration_at(&model, 1.0);
 /// assert!(t68 < t1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkProfile {
     segments: Vec<WorkSegment>,
 }
@@ -158,7 +157,7 @@ impl FromIterator<WorkSegment> for WorkProfile {
 }
 
 /// Description of a kernel submitted to the device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelDesc {
     /// Label shown in traces (e.g. `"τ3#12/s4"`).
     pub label: String,

@@ -1,6 +1,5 @@
 //! Device specifications.
 
-use serde::{Deserialize, Serialize};
 
 /// Static description of a simulated GPU device.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let gpu = GpuSpec::rtx_2080_ti();
 /// assert_eq!(gpu.total_sms, 68);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, for reports.
     pub name: String,

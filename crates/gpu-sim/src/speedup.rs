@@ -10,12 +10,9 @@
 //! `s(m) = 1 / ((1 − p) + p/m)` and fit the parallel fraction `p` so that
 //! `s(68)` reproduces the measured endpoint.
 
-use serde::{Deserialize, Serialize};
 
 /// Operation classes distinguished by the speedup analysis (Fig. 1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum OpClass {
     /// 2-D convolution — the dominant, best-scaling ResNet18 operation.
@@ -76,7 +73,7 @@ impl core::fmt::Display for OpClass {
 /// `p` is the parallelisable fraction of the operation's single-SM
 /// execution time. For `m < 1` (a kernel squeezed below one SM by
 /// processor sharing) the curve degrades linearly: `s(m) = m`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupCurve {
     parallel_fraction: f64,
 }
@@ -159,7 +156,7 @@ impl SpeedupCurve {
 /// let conv = model.speedup(OpClass::Convolution, 68.0);
 /// assert!((conv - 32.0).abs() < 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupModel {
     curves: Vec<(OpClass, SpeedupCurve)>,
     /// Reference SM count the calibration targets refer to.

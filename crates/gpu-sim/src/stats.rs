@@ -6,11 +6,10 @@
 //! "over-subscription harvests idle cycles" (§V of the paper).
 
 use crate::{ContextId, GpuEngine};
-use serde::{Deserialize, Serialize};
 use sgprs_rt::{SimDuration, SimTime};
 
 /// One utilisation sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationSample {
     /// Sample instant.
     pub at: SimTime,

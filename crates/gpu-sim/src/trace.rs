@@ -7,12 +7,11 @@
 //! schedules visually inspectable.
 
 use crate::{ContextId, KernelHandle, StreamId};
-use serde::{Deserialize, Serialize};
 use sgprs_rt::SimTime;
 use std::collections::HashMap;
 
 /// One kernel's lifetime on the device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelSpan {
     /// The kernel.
     pub kernel: KernelHandle,

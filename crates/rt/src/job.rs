@@ -6,13 +6,10 @@
 //! offline virtual relative deadlines (§IV-B1).
 
 use crate::{PeriodicTaskSpec, PriorityLevel, SimDuration, SimTime, StageId, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Globally unique job identifier: the releasing task plus the release
 /// index (0-based).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId {
     /// The releasing task.
     pub task: TaskId,
@@ -27,7 +24,7 @@ impl core::fmt::Display for JobId {
 }
 
 /// Lifecycle of a stage instance inside the online scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageState {
     /// Waiting for one or more predecessor stages to complete.
     Blocked,
@@ -42,7 +39,7 @@ pub enum StageState {
 }
 
 /// One stage `τi^j` of a released job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageInstance {
     /// Which stage of the task this instance embodies.
     pub stage: StageId,
@@ -94,7 +91,7 @@ impl StageInstance {
 }
 
 /// A released instance of a periodic task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Unique id (task, release index).
     pub id: JobId,
@@ -215,7 +212,7 @@ impl Job {
 }
 
 /// Terminal result of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobOutcome {
     /// Completed at or before the absolute deadline.
     MetDeadline {

@@ -5,15 +5,12 @@
 //! level is introduced: a low-priority stage is promoted to medium when its
 //! preceding stage has missed its virtual deadline (§IV-B3).
 
-use serde::{Deserialize, Serialize};
 
 /// Stage priority in SGPRS's three-level queuing discipline.
 ///
 /// `High > Medium > Low` in scheduling order; [`Ord`] reflects that, so
 /// `PriorityLevel::High` compares greatest.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PriorityLevel {
     /// Default level of every non-final stage (offline assignment).
     Low,

@@ -7,18 +7,13 @@
 //! stage's share of `Ci` — see §IV-A2 of the paper).
 
 use crate::{PriorityLevel, RtError, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a task within a [`TaskSet`] (dense, assigned on insert).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub usize);
 
 /// Identifier of a stage within its task (index into the stage list).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StageId(pub usize);
 
 impl core::fmt::Display for TaskId {
@@ -38,7 +33,7 @@ impl core::fmt::Display for StageId {
 /// Stages are produced either by the offline phase of SGPRS (which splits a
 /// DNN into `k` stages and profiles each) or manually for synthetic
 /// workloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageSpec {
     /// Human-readable stage label (e.g. `"layer3"`).
     pub name: String,
@@ -91,7 +86,7 @@ impl StageSpec {
 ///
 /// Construct via [`PeriodicTaskSpec::builder`]; construction validates the
 /// timing parameters and the stage graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeriodicTaskSpec {
     /// Human-readable name (e.g. `"resnet18-cam0"`).
     pub name: String,
@@ -362,7 +357,7 @@ impl PeriodicTaskSpecBuilder {
 }
 
 /// An ordered collection of periodic tasks (`S` in the paper).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskSet {
     tasks: Vec<PeriodicTaskSpec>,
 }

@@ -7,7 +7,6 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// A point in simulated time, measured in nanoseconds since simulation start.
 ///
@@ -24,9 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let t1 = t0 + SimDuration::from_millis(5);
 /// assert_eq!(t1.duration_since(t0), SimDuration::from_millis(5));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time in nanoseconds.
@@ -40,9 +37,7 @@ pub struct SimTime(u64);
 /// assert_eq!(frame.as_nanos(), 33_333_000);
 /// assert!((frame.as_secs_f64() - 0.033333).abs() < 1e-9);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

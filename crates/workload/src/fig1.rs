@@ -6,7 +6,6 @@
 //! only 23×. This module regenerates those curves from the calibrated
 //! speedup model and the ResNet18 work profile.
 
-use serde::{Deserialize, Serialize};
 use sgprs_dnn::{models, CostModel};
 use sgprs_gpu_sim::{OpClass, SpeedupModel};
 
@@ -14,7 +13,7 @@ use sgprs_gpu_sim::{OpClass, SpeedupModel};
 pub const SM_POINTS: [u32; 9] = [1, 2, 4, 8, 16, 24, 32, 48, 68];
 
 /// One curve of Figure 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupCurvePoints {
     /// Curve label (operation name, or `"resnet18 (end-to-end)"`).
     pub label: String,

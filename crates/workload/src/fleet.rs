@@ -5,7 +5,6 @@
 //! counts, skewed tenant mixes, and arrival/departure churn — the
 //! deployment the paper's introduction motivates but never measures.
 
-use serde::{Deserialize, Serialize};
 use sgprs_cluster::{
     ArrivalStream, ChurnConfig, ChurnEvent, ChurnTrace, Fleet, FleetConfig, FleetMetrics,
     ModelKind, NodeScheduler, NodeSpec, PlacementPolicy, QueuePolicy, ShardRouter, TenantSpec,
@@ -14,7 +13,7 @@ use sgprs_gpu_sim::GpuSpec;
 use sgprs_rt::{SimDuration, SimTime};
 
 /// How a fleet scenario generates its tenant population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TenantLoad {
     /// `n` identical tenants (the paper's setup, scaled out), all present
     /// from time zero.
@@ -44,7 +43,7 @@ pub enum TenantLoad {
 }
 
 /// One fleet experiment: nodes, placement policy, and offered load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetScenario {
     /// Scenario label for reports.
     pub label: String,

@@ -5,12 +5,11 @@
 //! a response-time CDF plus summary percentiles for each scheduler.
 
 use crate::{ScenarioSpec, SchedulerKind};
-use serde::{Deserialize, Serialize};
 use sgprs_core::RunMetrics;
 use sgprs_rt::SimDuration;
 
 /// Summary of one scheduler's response-time behaviour at a load point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencySummary {
     /// Curve label.
     pub label: String,

@@ -6,7 +6,6 @@
 //! Scenario 2 three contexts; SGPRS variants differ in the
 //! over-subscription level `os ∈ {1.0, 1.5, 2.0}` (written `SGPRS os`).
 
-use serde::{Deserialize, Serialize};
 use sgprs_core::{
     offline, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics,
     SgprsConfig, SgprsScheduler,
@@ -21,7 +20,7 @@ pub const PAPER_FPS: f64 = 30.0;
 pub const PAPER_STAGES: usize = 6;
 
 /// Which scheduler a scenario curve uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulerKind {
     /// The naive spatial-partitioning baseline.
     Naive,
@@ -45,7 +44,7 @@ impl core::fmt::Display for SchedulerKind {
 
 /// One curve of Figures 3/4: a scheduler variant over a context pool,
 /// evaluated at varying task counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Curve label (e.g. `"SGPRS 1.5 (np=3)"`).
     pub label: String,

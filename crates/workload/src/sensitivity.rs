@@ -10,13 +10,12 @@
 //! 2. SGPRS's saturated FPS stays above the naive plateau.
 
 use crate::{SchedulerKind, ScenarioSpec};
-use serde::{Deserialize, Serialize};
 use sgprs_core::{NaiveConfig, NaiveScheduler, SgprsConfig, SgprsScheduler};
 use sgprs_gpu_sim::ContentionModel;
 use sgprs_rt::{SimDuration, SimTime};
 
 /// Result of one perturbed comparison run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityPoint {
     /// Which knob was perturbed and to what value.
     pub knob: String,

@@ -5,12 +5,11 @@
 //! fans several scenarios out over worker threads.
 
 use crate::ScenarioSpec;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use sgprs_core::RunMetrics;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One point of a sweep curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Number of concurrent tasks.
     pub tasks: usize,
@@ -42,7 +41,7 @@ impl SweepPoint {
 }
 
 /// A full sweep curve for one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSeries {
     /// Curve label (from the scenario).
     pub label: String,
@@ -106,36 +105,47 @@ pub fn run_sweep(scenario: &ScenarioSpec, task_counts: &[usize]) -> SweepSeries 
 /// by task count, so output is deterministic regardless of thread timing.
 #[must_use]
 pub fn run_sweeps(scenarios: &[ScenarioSpec], task_counts: &[usize]) -> Vec<SweepSeries> {
+    let workers = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(4);
+    run_sweeps_on(scenarios, task_counts, workers)
+}
+
+/// [`run_sweeps`] over `workers` threads (capped at one per job).
+fn run_sweeps_on(
+    scenarios: &[ScenarioSpec],
+    task_counts: &[usize],
+    workers: usize,
+) -> Vec<SweepSeries> {
     let jobs: Vec<(usize, usize)> = (0..scenarios.len())
         .flat_map(|s| task_counts.iter().map(move |&n| (s, n)))
         .collect();
-    let next = Mutex::new(0usize);
-    let results: Mutex<Vec<(usize, SweepPoint)>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(jobs.len().max(1));
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let job = {
-                    let mut guard = next.lock();
-                    if *guard >= jobs.len() {
-                        break;
+    let workers = workers.min(jobs.len()).max(1);
+    // Workers claim jobs through a shared cursor and hand their
+    // (scenario index, point) pairs back through their join handles, so
+    // no locks are involved. The cursor publishes no data (the jobs are
+    // read-only), so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let results: Vec<(usize, SweepPoint)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut points = Vec::new();
+                    while let Some(&(scenario_idx, n)) =
+                        jobs.get(next.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let metrics = scenarios[scenario_idx].run(n);
+                        points.push((scenario_idx, SweepPoint::from_metrics(n, &metrics)));
                     }
-                    let j = jobs[*guard];
-                    *guard += 1;
-                    j
-                };
-                let (scenario_idx, n) = job;
-                let metrics = scenarios[scenario_idx].run(n);
-                results
-                    .lock()
-                    .push((scenario_idx, SweepPoint::from_metrics(n, &metrics)));
-            });
-        }
-    })
-    .expect("sweep workers never panic");
+                    points
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep workers never panic"))
+            .collect()
+    });
     let mut series: Vec<SweepSeries> = scenarios
         .iter()
         .map(|s| SweepSeries {
@@ -143,7 +153,7 @@ pub fn run_sweeps(scenarios: &[ScenarioSpec], task_counts: &[usize]) -> Vec<Swee
             points: Vec::new(),
         })
         .collect();
-    for (idx, point) in results.into_inner() {
+    for (idx, point) in results {
         series[idx].points.push(point);
     }
     for s in &mut series {
@@ -212,17 +222,33 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_sweeps_agree() {
-        let s = ScenarioSpec::new(
-            2,
-            SchedulerKind::Sgprs {
-                oversubscription: 1.5,
-            },
-            1,
-        );
-        let counts = [1, 3, 5];
-        let seq = run_sweep(&s, &counts);
-        let par = run_sweeps(std::slice::from_ref(&s), &counts);
-        assert_eq!(seq, par[0], "determinism across execution strategies");
+        let scenarios = [
+            ScenarioSpec::new(
+                2,
+                SchedulerKind::Sgprs {
+                    oversubscription: 1.5,
+                },
+                1,
+            ),
+            ScenarioSpec::new(3, SchedulerKind::Naive, 1),
+        ];
+        let counts = [1, 3, 5, 8];
+        let runs = [
+            run_sweeps(&scenarios, &counts),
+            // Four workers force the work-sharing path even on a
+            // single-core host, where `run_sweeps` uses one worker.
+            run_sweeps_on(&scenarios, &counts, 4),
+        ];
+        for par in runs {
+            assert_eq!(par.len(), scenarios.len());
+            for (s, series) in scenarios.iter().zip(&par) {
+                assert_eq!(
+                    run_sweep(s, &counts),
+                    *series,
+                    "determinism across execution strategies"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * [`cluster`] — the multi-GPU fleet: generator-driven arrival
 //!   streams (`cluster::ArrivalStream`, lazy pull in O(active-tenants)
 //!   memory, byte-identical to the materialised trace) feeding
-//!   dispatching (flat, or two-level
-//!   sharded via `cluster::ShardedFleet`, with `cluster::ShardRouter`
+//!   dispatching (flat, or two-level sharded via
+//!   `cluster::FleetConfig::with_sharding`, with `cluster::ShardRouter`
 //!   choosing the ordered shard scan or O(1) power-of-two-choices
 //!   routing for 512–1024-node fleets), utilisation-bound admission
 //!   control, placement policies, policy-ordered wait queueing

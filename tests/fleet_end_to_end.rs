@@ -7,8 +7,8 @@
 
 use sgprs_suite::cluster::{
     AdmissionController, ArrivalStream, ChurnConfig, ChurnTrace, Fleet, FleetConfig,
-    FleetMetricsBuilder, FleetNode, ModelKind, NodeSpec, QueuePolicy, ShardedFleet, Span,
-    TelemetryConfig, TenantSpec, BASE_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
+    FleetMetricsBuilder, FleetNode, ModelKind, NodeSpec, QueuePolicy, Span, TelemetryConfig,
+    TenantSpec, BASE_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
 };
 use sgprs_suite::core::MetricsCollector;
 use sgprs_suite::gpu_sim::GpuSpec;
@@ -573,11 +573,11 @@ fn metro_scale_serves_in_both_engines() {
 #[test]
 fn sharded_scale_out_serves_without_overcommitting() {
     let scenario = FleetScenario::scale_out(64, 3);
-    let mut fleet = ShardedFleet::new(
-        FleetConfig::new(scenario.nodes.clone()).with_seed(scenario.seed),
-        8,
+    let mut fleet = Fleet::new(
+        FleetConfig::new(scenario.nodes.clone())
+            .with_seed(scenario.seed)
+            .with_sharding(8),
     );
-    assert_eq!(fleet.shard_count(), 8);
     let m = fleet.run(scenario.trace(), scenario.sim);
     assert!(m.total_fps > 0.0);
     assert!(m.arrivals > 100, "{m:?}");
