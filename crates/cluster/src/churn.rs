@@ -120,7 +120,7 @@ impl ChurnTrace {
     /// `(config, horizon, seed)` triple always yields the same trace —
     /// and the same event sequence as the lazy
     /// [`crate::ArrivalStream::generate`], which pulls from the same
-    /// [`ChurnSampler`].
+    /// `ChurnSampler`.
     ///
     /// # Panics
     ///

@@ -7,7 +7,7 @@
 
 use crate::policy::MigrationVictimPolicy;
 use crate::telemetry::TelemetryConfig;
-use crate::{AdmissionConfig, PlacementPolicy, QueueConfig, ShardConfig, ShardRouter};
+use crate::{AdmissionConfig, PlacementPolicy, QueueConfig};
 use crate::{NodeSpec, QueuePolicy};
 use sgprs_rt::SimDuration;
 
@@ -59,15 +59,15 @@ pub struct FleetConfig {
     pub migration: MigrationConfig,
     /// Base seed for the nodes' execution jitter.
     pub seed: u64,
-    /// Fan per-epoch node execution out over worker threads (results are
-    /// bit-identical either way; see the fleet module docs).
-    pub parallel: bool,
-    /// Worker-thread count for the parallel fan-out; `None` uses every
-    /// available core. Ignored when `parallel` is off. Results are
-    /// bit-identical for every count.
+    /// Worker-thread count for the per-epoch node fan-out; `None` uses
+    /// every available core and `Some(1)` runs the nodes one after
+    /// another on the calling thread. Results are bit-identical for
+    /// every count (see the fleet module docs).
     pub workers: Option<usize>,
-    /// Optional two-level sharded dispatch (see [`crate::ShardConfig`]).
-    pub sharding: Option<ShardConfig>,
+    /// Nodes per shard for two-level sharded dispatch (the last shard
+    /// may be smaller); `None` dispatches flat. See
+    /// [`FleetConfig::with_sharding`].
+    pub sharding: Option<usize>,
     /// Wait-queue policy and re-pricing knobs (see [`crate::QueuePolicy`]).
     pub queue: QueueConfig,
     /// Run in event-driven mode ([`crate::Fleet::run_events`]) instead
@@ -100,7 +100,6 @@ impl FleetConfig {
             epoch: SimDuration::from_secs(1),
             migration: MigrationConfig::default(),
             seed: 0x5672_5053,
-            parallel: true,
             workers: None,
             sharding: None,
             queue: QueueConfig::default(),
@@ -142,39 +141,19 @@ impl FleetConfig {
         self
     }
 
-    /// Disables the parallel per-epoch fan-out: nodes run one after
-    /// another on the calling thread. The escape hatch for debugging and
-    /// for determinism tests — metrics are bit-identical either way.
-    #[must_use]
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
-    }
-
     /// Enables two-level sharded dispatch with shards of `shard_size`
-    /// nodes (see [`crate::ShardConfig`]), routed by the default
-    /// ordered spare-budget scan.
+    /// nodes: each arrival probes two seeded shards by
+    /// power-of-two-choices and sweeps the rest only when both refuse,
+    /// so the per-arrival routing cost is independent of the shard
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics if `shard_size` is zero.
     #[must_use]
     pub fn with_sharding(mut self, shard_size: usize) -> Self {
-        self.sharding = Some(ShardConfig::new(shard_size));
-        self
-    }
-
-    /// Enables two-level sharded dispatch with shards of `shard_size`
-    /// nodes routed by power-of-two-choices ([`ShardRouter::P2c`]):
-    /// per-arrival routing cost independent of the shard count, the
-    /// regime 512-node-and-up fleets need.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_size` is zero.
-    #[must_use]
-    pub fn with_p2c_sharding(mut self, shard_size: usize) -> Self {
-        self.sharding = Some(ShardConfig::new(shard_size).with_router(ShardRouter::P2c));
+        assert!(shard_size > 0, "a shard needs at least one node");
+        self.sharding = Some(shard_size);
         self
     }
 
@@ -227,9 +206,10 @@ impl FleetConfig {
         self
     }
 
-    /// Forces the parallel fan-out onto exactly `workers` threads
-    /// (metrics are bit-identical for every count; the knob exists for
-    /// determinism tests and for capping thread pressure).
+    /// Runs the per-epoch node fan-out on exactly `workers` threads; 1
+    /// runs it sequentially on the calling thread (metrics are
+    /// bit-identical for every count; the knob exists for determinism
+    /// tests, debugging, and capping thread pressure).
     ///
     /// # Panics
     ///
@@ -307,18 +287,5 @@ mod tests {
                 .victim,
             MigrationVictimPolicy::Lifo
         );
-    }
-
-    #[test]
-    fn p2c_sharding_builder_sets_the_router() {
-        let cfg = FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())])
-            .with_p2c_sharding(4);
-        let shard = cfg.sharding.expect("sharding configured");
-        assert_eq!(shard.shard_size, 4);
-        assert_eq!(shard.router, ShardRouter::P2c);
-        // The classic builder keeps the ordered scan.
-        let scan = FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())])
-            .with_sharding(4);
-        assert_eq!(scan.sharding.expect("sharding").router, ShardRouter::Scan);
     }
 }

@@ -35,8 +35,8 @@
 //! run is a deterministic function of `(config, trace, horizon)`:
 //! rerunning the same configuration yields byte-identical
 //! [`crate::FleetMetrics::to_json`], and the
-//! [`crate::FleetConfig::with_workers`] / parallel knobs are inert here
-//! (they only affect the epoch path's fan-out). Sharding changes
+//! [`crate::FleetConfig::with_workers`] knob is inert here (it only
+//! affects the epoch path's fan-out). Sharding changes
 //! *placement* exactly as it does on the epoch path — a multi-node
 //! shard may route an arrival differently from the flat scan — but any
 //! fixed dispatch configuration stays fully deterministic; a single
@@ -47,7 +47,7 @@
 //!
 //! Event mode does not re-run the per-stage schedulers (they are
 //! rebuilt per epoch by design); instead each node serves jobs under the
-//! fluid approximation of [`exec`]: a job released at `t` on a node with
+//! fluid approximation of the `exec` module: a job released at `t` on a node with
 //! resident demand `D` and effective capacity `C` finishes at
 //! `t + max(best_case_latency, period · D/C) · jitter`. Naive/reconfig
 //! nodes pay their sequential-execution and partition-switch tax through
@@ -150,11 +150,11 @@ impl SimEvent {
 }
 
 /// The monotonic event queue: a hierarchical timing wheel
-/// ([`wheel::TimingWheel`]) over [`sgprs_rt::SimTime`] with
+/// (`wheel::TimingWheel`) over [`sgprs_rt::SimTime`] with
 /// deterministic `(time, node, seq)` tie-breaking — the same total
 /// order the original binary heap implemented, at O(1) amortised
 /// push/pop for the near-sorted periodic-release workload. See the
-/// [`wheel`] module docs for the slot layout, the ordering argument,
+/// `wheel` module docs for the slot layout, the ordering argument,
 /// and the slot-capacity recycling that keeps the steady-state hot
 /// path allocation-free.
 #[derive(Debug, Default)]

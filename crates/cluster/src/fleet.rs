@@ -2,7 +2,7 @@
 //! tenant churn.
 //!
 //! This file is **orchestration only**. Every decision — admission and
-//! placement planning (flat, shard-scan, or power-of-two-choices), the
+//! placement planning (flat, or sharded by power-of-two-choices), the
 //! re-pricing ladder walk, queue feasibility and demand-aware expiry,
 //! upgrade candidates, and migration victim/destination choice — lives
 //! in the shared [`crate::policy`] kernel, consumed identically by this
@@ -67,13 +67,13 @@
 //! therefore fans the per-node `run_epoch` calls out over scoped worker
 //! threads and folds the results back in ascending node index, so the
 //! resulting [`FleetMetrics`] is bit-identical to sequential execution
-//! ([`crate::FleetConfig::sequential`] is the escape hatch): parallelism
+//! (`FleetConfig::with_workers(1)` is the escape hatch): parallelism
 //! changes wall-clock time, never results.
 
 use crate::interner::{TenantId, TenantInterner};
 use crate::policy::{self, DispatchPlanner, FleetState, PricedPlan, QueueAdmission};
 use crate::queue::DispatchQueue;
-use crate::telemetry::{Span, SpanProfile, Telemetry, PLAN_LATENCY_BINS};
+use crate::telemetry::{Span, SpanProfile, Telemetry};
 use crate::{
     AdmissionController, ArrivalStream, ChurnEvent, FleetConfig, FleetMetrics,
     FleetMetricsBuilder, FleetNode, TenantSpec,
@@ -221,7 +221,7 @@ impl Fleet {
         assert!(!cfg.nodes.is_empty(), "a fleet needs at least one node");
         let nodes: Vec<FleetNode> = cfg.nodes.iter().cloned().map(FleetNode::new).collect();
         let admission = AdmissionController::new(cfg.admission.clone());
-        let planner = DispatchPlanner::new(cfg.placement, nodes.len(), cfg.sharding.as_ref());
+        let planner = DispatchPlanner::new(cfg.placement, nodes.len(), cfg.sharding);
         let queue = DispatchQueue::new(cfg.queue.policy);
         let telemetry = Telemetry::new(cfg.telemetry.clone());
         let node_ids = vec![Vec::new(); nodes.len()];
@@ -325,7 +325,7 @@ impl Fleet {
 
     /// Chooses a node for `tenant` without committing the placement —
     /// the per-arrival hot path the placement benches measure, delegated
-    /// to the policy kernel's [`DispatchPlanner::plan`].
+    /// to the policy kernel's `DispatchPlanner::plan`.
     #[must_use]
     pub fn plan(&mut self, tenant: &TenantSpec) -> Option<usize> {
         self.planner
@@ -856,18 +856,6 @@ impl Fleet {
         self.attach_resident(idx, id, tenant);
     }
 
-    /// The wall-clock plan-latency histogram of the last finished run
-    /// (log2 nanosecond buckets: bucket `i` counts plans that took
-    /// `[2^i, 2^(i+1))` ns, the last catching everything above) — the
-    /// [`Span::Plan`] row of [`Fleet::span_profile`]. All zeros when
-    /// profiling was off. Wall-clock is not deterministic, so this lives
-    /// outside [`FleetMetrics`] and its JSON export — see
-    /// [`crate::telemetry`].
-    #[must_use]
-    pub fn plan_latency_histogram(&self) -> [u64; PLAN_LATENCY_BINS] {
-        self.telemetry.plan_latency_histogram()
-    }
-
     /// The span profile of the last finished run: per-span call counts
     /// and wall-clock latency histograms over the simulator's own hot
     /// paths. `None` unless the run was armed with
@@ -938,7 +926,7 @@ impl Fleet {
             self.nodes.iter().map(|n| n.spec.name.clone()).collect(),
             self.nodes.iter().map(|n| n.spec.gpu.total_sms).collect(),
         );
-        let workers = epoch_workers(self.cfg.parallel, self.cfg.workers);
+        let workers = epoch_workers(self.cfg.workers);
         self.telemetry.begin_run(self.nodes.len(), horizon);
         // Tenants already waiting when `run` starts are not this run's
         // deferrals: their later admission must not offset the eventual-
@@ -1115,8 +1103,8 @@ impl Fleet {
     /// re-pricing degrade/upgrade switches stay free partition switches.
     /// Churn is merged lazily from the stream, never materialised into
     /// the heap. The run is single-threaded and deterministic:
-    /// [`FleetConfig::workers`] / [`FleetConfig::parallel`] have no
-    /// effect, so the metrics are byte-identical across those knobs;
+    /// [`FleetConfig::workers`] has no effect, so the metrics are
+    /// byte-identical across worker counts;
     /// sharding steers placement exactly as on the epoch path
     /// (deterministic per configuration, identical to flat only for a
     /// whole-fleet shard).
@@ -1284,18 +1272,14 @@ impl NodeEpochJob {
     }
 }
 
-/// Worker-thread count for the per-epoch fan-out: the override (or every
-/// available core) when `parallel`, one otherwise.
-fn epoch_workers(parallel: bool, over: Option<usize>) -> usize {
-    if parallel {
-        over.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-    } else {
-        1
-    }
+/// Worker-thread count for the per-epoch fan-out: the override, or every
+/// available core.
+fn epoch_workers(over: Option<usize>) -> usize {
+    over.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs the prepared per-node epoch jobs — over `workers` scoped worker

@@ -301,7 +301,11 @@ fn parallel_and_sequential_epochs_are_bit_identical() {
         Fleet::new(cfg).run(trace, horizon)
     };
     let par = run_with(FleetConfig::new(nodes()).with_migration(0.1));
-    let seq = run_with(FleetConfig::new(nodes()).with_migration(0.1).sequential());
+    let seq = run_with(
+        FleetConfig::new(nodes())
+            .with_migration(0.1)
+            .with_workers(1),
+    );
     assert_eq!(par, seq, "parallelism must never change results");
     assert_eq!(par.to_json(), seq.to_json());
 }

@@ -21,7 +21,7 @@
 //! * [`Placer`] / [`PlacementPolicy`] — round-robin, least-utilisation,
 //!   and best-fit placement over admissible nodes.
 //! * [`policy`] — the **dispatch-policy kernel**: one backend-agnostic
-//!   home for admission+placement planning (flat, shard-scan, or
+//!   home for admission+placement planning (flat, or sharded by
 //!   power-of-two-choices), the re-pricing ladder walk, queue
 //!   feasibility and demand-aware expiry, upgrade candidates, and
 //!   migration victim ([`MigrationVictimPolicy`]) / destination choice
@@ -66,15 +66,12 @@
 //!   [`TenantSpec::fps_ladder`] step instead of rejecting, upgrade back
 //!   in place when capacity frees — both directions are SGPRS partition
 //!   switches, never migrations.
-//! * [`ShardConfig`] / [`ShardRouter`] — two-level dispatch, enabled by
-//!   [`FleetConfig::with_sharding`] / [`FleetConfig::with_p2c_sharding`]:
-//!   cached per-shard capacity summaries route each arrival
-//!   to a shard, the placement policy runs inside it —
-//!   O(shards + nodes/shard) under the ordered [`ShardRouter::Scan`],
-//!   or O(1) in the shard count under power-of-two-choices
-//!   ([`ShardRouter::P2c`]: probe two seeded shards, take the better,
-//!   sweep exhaustively only when both refuse), the regime
-//!   512–1024-node metro fleets dispatch in.
+//! * Two-level sharded dispatch, enabled by
+//!   [`FleetConfig::with_sharding`]: cached per-shard capacity summaries
+//!   route each arrival to a shard by power-of-two-choices (probe two
+//!   seeded shards, take the better, sweep the rest only when both
+//!   refuse) and the placement policy runs inside it — O(1) in the
+//!   shard count, the regime 512–10,000-node metro fleets dispatch in.
 //! * [`FleetMetrics`] — per-node and fleet-level FPS, miss rate,
 //!   rejection rate, and a utilisation histogram, aggregated from the
 //!   nodes' [`sgprs_core::RunMetrics`] and rendered as JSON.
@@ -138,7 +135,6 @@ pub use interner::{TenantId, TenantInterner};
 pub use stream::ArrivalStream;
 pub use policy::{FleetState, MigrationVictimPolicy};
 pub use queue::{QueueConfig, QueuePolicy, AGING_QUANTUM};
-pub use shard::{ShardConfig, ShardRouter};
 pub use metrics::{
     FleetMetrics, FleetMetricsBuilder, NodeReport, BASE_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
     UTILIZATION_BINS,

@@ -3,8 +3,8 @@
 //!
 //! The fleet simulates time two ways — the epoch grid ([`crate::Fleet::run`])
 //! and the discrete-event engine ([`crate::Fleet::run_events`]) — over a
-//! flat or a sharded node set ([`crate::ShardConfig`]). Every combination
-//! must *decide* identically: who is admitted and
+//! flat or a sharded node set ([`crate::FleetConfig::with_sharding`]).
+//! Every combination must *decide* identically: who is admitted and
 //! where, in what order the wait queue drains, which ladder step a
 //! re-priced tenant serves at, which tenant a hot node sheds, and where
 //! the migrant lands. This module is the single home of those decisions;
@@ -13,16 +13,14 @@
 //!
 //! The kernel sees the fleet through a [`FleetState`] view — the nodes
 //! with their residents plus the admission controller — and through the
-//! [`DispatchPlanner`], which carries the only mutable policy state
+//! `DispatchPlanner`, which carries the only mutable policy state
 //! (the placement cursor and the shard directory with its cached
 //! summaries). Everything else is a pure function of the view:
 //!
-//! * [`DispatchPlanner::plan`] / [`DispatchPlanner::plan_repriced`] —
-//!   admission + placement planning, flat or shard-routed
-//!   ([`crate::ShardRouter::Scan`] orders every shard;
-//!   [`crate::ShardRouter::P2c`] probes two and falls back to a sweep
-//!   only when both refuse), with the re-pricing ladder walked best
-//!   step first.
+//! * `DispatchPlanner::plan` / `DispatchPlanner::plan_repriced` —
+//!   admission + placement planning, flat or shard-routed (probe two
+//!   shards, fall back to a sweep only when both refuse), with the
+//!   re-pricing ladder walked best step first.
 //! * [`queue_feasible`] — whether queueing a tenant can ever pay off
 //!   (load-independent latency feasibility at any admissible price).
 //! * [`can_ever_fit`] / [`provably_hopeless`] — the demand-aware expiry
@@ -44,7 +42,7 @@
 //! `tests/fleet_end_to_end.rs` and the kernel-parity property tests in
 //! `tests/fleet_invariants.rs` pin that the three can no longer drift.
 
-use crate::shard::{ShardConfig, ShardDirectory};
+use crate::shard::ShardDirectory;
 use crate::{AdmissionController, FleetNode, Placer, PlacementPolicy, TenantSpec};
 use sgprs_rt::SimDuration;
 
@@ -132,15 +130,11 @@ pub(crate) struct DispatchPlanner {
 
 impl DispatchPlanner {
     /// A planner over `n_nodes` nodes with the given placement policy,
-    /// shard-routed when `sharding` is configured.
-    pub(crate) fn new(
-        policy: PlacementPolicy,
-        n_nodes: usize,
-        sharding: Option<&ShardConfig>,
-    ) -> Self {
+    /// shard-routed in shards of `shard_size` nodes when one is given.
+    pub(crate) fn new(policy: PlacementPolicy, n_nodes: usize, shard_size: Option<usize>) -> Self {
         DispatchPlanner {
             placer: Placer::new(policy),
-            router: sharding.map(|cfg| ShardDirectory::new(n_nodes, cfg)),
+            router: shard_size.map(|size| ShardDirectory::new(n_nodes, size)),
             probes: 0,
         }
     }
@@ -176,11 +170,10 @@ impl DispatchPlanner {
     /// Chooses a node for `tenant` without committing the placement —
     /// the per-arrival hot path the placement benches measure. Flat
     /// fleets scan every node through the placement policy; sharded
-    /// fleets route to a shard first and fall back shard by shard when
-    /// summaries prove stale. Under [`crate::ShardRouter::P2c`] only two
-    /// deterministically chosen shards are probed — O(1) in the shard
-    /// count — with the exhaustive sweep reserved for the rare case
-    /// where both probes refuse, so routing never destroys feasibility.
+    /// fleets probe two deterministically chosen shards — O(1) in the
+    /// shard count — with the sweep of the rest reserved for the rare
+    /// case where both probes refuse, so routing never destroys
+    /// feasibility.
     pub(crate) fn plan(
         &mut self,
         state: &FleetState<'_>,
@@ -201,25 +194,23 @@ impl DispatchPlanner {
                 return Some(range.start + rel);
             }
         }
-        if !router.is_exhaustive() {
-            // P2c probed two shards and both refused: sweep the rest in
-            // index order (skipping shards the latency lower bound rules
-            // out) so the two-choice fast path can narrow *where* the
-            // policy looks but never *whether* a feasible node is found.
-            for shard in 0..router.shard_count() {
-                if probes.contains(&shard)
-                    || router.latency_infeasible(shard, state.nodes, state.admission, tenant)
-                {
-                    continue;
-                }
-                let range = router.range(shard);
-                self.probes += 1;
-                if let Some(rel) =
-                    self.placer
-                        .place(&state.nodes[range.clone()], tenant, state.admission)
-                {
-                    return Some(range.start + rel);
-                }
+        // Both probes refused: sweep the rest in index order (skipping
+        // shards the latency lower bound rules out) so the two-choice
+        // fast path can narrow *where* the policy looks but never
+        // *whether* a feasible node is found.
+        for shard in 0..router.shard_count() {
+            if probes.contains(&shard)
+                || router.latency_infeasible(shard, state.nodes, state.admission, tenant)
+            {
+                continue;
+            }
+            let range = router.range(shard);
+            self.probes += 1;
+            if let Some(rel) =
+                self.placer
+                    .place(&state.nodes[range.clone()], tenant, state.admission)
+            {
+                return Some(range.start + rel);
             }
         }
         None

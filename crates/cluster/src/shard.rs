@@ -13,22 +13,15 @@
 //!   smallest launch overhead in the shard, from which the router
 //!   derives a best-case latency no node in the shard can beat.
 //!
-//! How an arrival picks a shard is the [`ShardRouter`] strategy:
-//!
-//! * [`ShardRouter::Scan`] (the default) orders *every* shard —
-//!   provably latency-infeasible shards are skipped outright; shards
-//!   whose spare budget covers the tenant's demand come first,
-//!   most-spare first — then the regular [`crate::PlacementPolicy`]
-//!   runs inside the chosen shard only: O(shards + nodes/shard) per
-//!   arrival.
-//! * [`ShardRouter::P2c`] probes **two** deterministically chosen
-//!   shards (a seeded hash of the tenant name and a routing serial) and
-//!   tries the one with more spare budget first — O(1) in the shard
-//!   count, the difference between 64 shards and 128 shards vanishing
-//!   from the arrival hot path. Only when both probes refuse does the
-//!   planner fall back to an exhaustive sweep, so two-choice routing
-//!   can narrow *where* placement looks but never *whether* a feasible
-//!   node is found.
+//! An arrival picks its shard by power-of-two-choices: it probes **two**
+//! deterministically chosen shards (a seeded hash of the tenant name and
+//! a routing serial) and tries the one with more spare budget first —
+//! O(1) in the shard count, the difference between 64 shards and 128
+//! shards vanishing from the arrival hot path. The regular
+//! [`crate::PlacementPolicy`] then runs inside the chosen shard only.
+//! Only when both probes refuse does the planner fall back to a sweep
+//! of the remaining shards, so two-choice routing can narrow *where*
+//! placement looks but never *whether* a feasible node is found.
 //!
 //! The summaries are heuristics, not admission decisions: real admission
 //! always re-runs inside the shard, and when it disagrees the router
@@ -37,61 +30,6 @@
 
 use crate::{AdmissionController, FleetNode, TenantSpec};
 use std::ops::Range;
-
-/// The first-level routing strategy of a sharded fleet: how an arrival
-/// picks which shard to try (see the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ShardRouter {
-    /// Order every shard by cached spare budget, feasibility-filtered —
-    /// O(shards) per arrival, the classic behaviour and the default.
-    #[default]
-    Scan,
-    /// Power-of-two-choices: probe two deterministically chosen shards
-    /// and take the better, falling back to an exhaustive sweep only
-    /// when both refuse — O(1) per arrival in the shard count.
-    P2c,
-}
-
-impl core::fmt::Display for ShardRouter {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ShardRouter::Scan => f.write_str("scan"),
-            ShardRouter::P2c => f.write_str("p2c"),
-        }
-    }
-}
-
-/// Sharding knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// Nodes per shard (the last shard may be smaller).
-    pub shard_size: usize,
-    /// First-level routing strategy ([`ShardRouter::Scan`] by default).
-    pub router: ShardRouter,
-}
-
-impl ShardConfig {
-    /// Shards of `shard_size` nodes routed by the ordered scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_size` is zero.
-    #[must_use]
-    pub fn new(shard_size: usize) -> Self {
-        assert!(shard_size > 0, "a shard needs at least one node");
-        ShardConfig {
-            shard_size,
-            router: ShardRouter::Scan,
-        }
-    }
-
-    /// Replaces the routing strategy.
-    #[must_use]
-    pub fn with_router(mut self, router: ShardRouter) -> Self {
-        self.router = router;
-        self
-    }
-}
 
 /// Cached capacity summary of one shard.
 #[derive(Debug, Clone, Copy)]
@@ -105,28 +43,32 @@ pub(crate) struct ShardSummary {
 }
 
 /// The first routing level: contiguous shards of node indices with
-/// lazily maintained [`ShardSummary`]s, consulted through the
-/// configured [`ShardRouter`] strategy.
+/// lazily maintained [`ShardSummary`]s, consulted by the two-choice
+/// probe.
 #[derive(Debug)]
 pub(crate) struct ShardDirectory {
     shard_size: usize,
     n_nodes: usize,
-    router: ShardRouter,
     summaries: Vec<Option<ShardSummary>>,
-    /// Serial mixed into the P2c probe hash so repeated routing attempts
+    /// Serial mixed into the probe hash so repeated routing attempts
     /// for the same tenant spread over different shard pairs
     /// (deterministic: it advances once per routing decision).
     probe_serial: u64,
 }
 
 impl ShardDirectory {
-    /// A directory over `n_nodes` nodes in shards of `cfg.shard_size`.
-    pub(crate) fn new(n_nodes: usize, cfg: &ShardConfig) -> Self {
-        let shards = n_nodes.div_ceil(cfg.shard_size).max(1);
+    /// A directory over `n_nodes` nodes in shards of `shard_size` (the
+    /// last shard may be smaller).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard_size` is zero.
+    pub(crate) fn new(n_nodes: usize, shard_size: usize) -> Self {
+        assert!(shard_size > 0, "a shard needs at least one node");
+        let shards = n_nodes.div_ceil(shard_size).max(1);
         ShardDirectory {
-            shard_size: cfg.shard_size,
+            shard_size,
             n_nodes,
-            router: cfg.router,
             summaries: vec![None; shards],
             probe_serial: 0,
         }
@@ -135,13 +77,6 @@ impl ShardDirectory {
     /// Number of shards.
     pub(crate) fn shard_count(&self) -> usize {
         self.summaries.len()
-    }
-
-    /// Whether [`ShardDirectory::route`] already covered every feasible
-    /// shard (the ordered scan does; P2c returns two probes and relies
-    /// on the caller's fallback sweep).
-    pub(crate) fn is_exhaustive(&self) -> bool {
-        matches!(self.router, ShardRouter::Scan)
     }
 
     /// The node-index range shard `shard` covers.
@@ -224,61 +159,16 @@ impl ShardDirectory {
         bound > tenant.period()
     }
 
-    /// The shards to try for `tenant`, in order, under the configured
-    /// strategy. [`ShardRouter::Scan`] returns every feasible shard
-    /// (demand-covering shards first, most spare budget first, shard
-    /// index as the deterministic tie-break); [`ShardRouter::P2c`]
-    /// returns at most two probes — the caller sweeps the rest only if
-    /// both refuse (see [`ShardDirectory::is_exhaustive`]).
-    pub(crate) fn route(
-        &mut self,
-        nodes: &[FleetNode],
-        admission: &AdmissionController,
-        tenant: &TenantSpec,
-    ) -> Vec<usize> {
-        match self.router {
-            ShardRouter::Scan => self.route_scan(nodes, admission, tenant),
-            ShardRouter::P2c => self.route_p2c(nodes, admission, tenant),
-        }
-    }
-
-    /// The ordered exhaustive scan (see [`ShardDirectory::route`]).
-    fn route_scan(
-        &mut self,
-        nodes: &[FleetNode],
-        admission: &AdmissionController,
-        tenant: &TenantSpec,
-    ) -> Vec<usize> {
-        let demand = tenant.demand_sm_equivalents();
-        let period = tenant.period();
-        let mut order: Vec<(usize, f64, bool)> = Vec::with_capacity(self.shard_count());
-        for shard in 0..self.shard_count() {
-            let summary = self.summary(shard, nodes, admission);
-            let bound = admission.best_case_latency_at(
-                summary.max_context_sm,
-                summary.min_launch_overhead_ns,
-                tenant,
-            );
-            if bound > period {
-                continue;
-            }
-            order.push((shard, summary.spare_budget, summary.spare_budget >= demand));
-        }
-        order.sort_by(|a, b| {
-            b.2.cmp(&a.2)
-                .then(b.1.total_cmp(&a.1))
-                .then(a.0.cmp(&b.0))
-        });
-        order.into_iter().map(|(shard, _, _)| shard).collect()
-    }
-
-    /// The power-of-two-choices probe (see [`ShardDirectory::route`]):
-    /// two distinct shards drawn from a deterministic hash of the tenant
+    /// The shards to try first for `tenant`, better probe first: two
+    /// distinct shards drawn from a deterministic hash of the tenant
     /// name and the routing serial, feasibility-filtered and ordered
-    /// better-probe-first by the same covering-then-spare criterion the
-    /// scan uses. Touches exactly two summaries, so the routing cost is
-    /// independent of how many shards the fleet has.
-    fn route_p2c(
+    /// demand-covering first, then most spare budget, then shard index.
+    /// Touches exactly two summaries, so the routing cost is independent
+    /// of how many shards the fleet has; the caller sweeps the rest only
+    /// if both refuse. A single shard is returned unfiltered, so a
+    /// whole-fleet shard costs exactly one placement scan, as flat
+    /// dispatch does.
+    pub(crate) fn route(
         &mut self,
         nodes: &[FleetNode],
         admission: &AdmissionController,
@@ -341,7 +231,7 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DispatchOutcome, Fleet, FleetConfig, ModelKind, NodeSpec, PlacementPolicy};
+    use crate::{DispatchOutcome, Fleet, FleetConfig, ModelKind, NodeSpec};
     use sgprs_gpu_sim::GpuSpec;
     use sgprs_rt::SimDuration;
 
@@ -370,29 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_dispatch_places_and_saturates_like_flat() {
-        let mut flat = Fleet::new(FleetConfig::new(nodes(8)));
-        let mut sharded = Fleet::new(FleetConfig::new(nodes(8)).with_sharding(4));
-        let mut flat_placed = 0;
-        let mut sharded_placed = 0;
-        for i in 0..300 {
-            if matches!(flat.dispatch(tenant(i)), DispatchOutcome::Placed(_)) {
-                flat_placed += 1;
-            }
-            if matches!(sharded.dispatch(tenant(i)), DispatchOutcome::Placed(_)) {
-                sharded_placed += 1;
-            }
-        }
-        // Identical per-tenant admission maths on both sides: the same
-        // total population fits, whatever route it took.
-        assert_eq!(flat_placed, sharded_placed, "same capacity either way");
-        assert!(sharded.queued() > 0, "and then saturation queues");
-    }
-
-    #[test]
     fn p2c_dispatch_saturates_at_the_same_population_as_flat() {
         let mut flat = Fleet::new(FleetConfig::new(nodes(8)));
-        let mut p2c = Fleet::new(FleetConfig::new(nodes(8)).with_p2c_sharding(2));
+        let mut p2c = Fleet::new(FleetConfig::new(nodes(8)).with_sharding(2));
         let mut flat_placed = 0;
         let mut p2c_placed = 0;
         for i in 0..300 {
@@ -411,7 +281,7 @@ mod tests {
 
     #[test]
     fn p2c_spreads_load_across_every_shard() {
-        let mut fleet = Fleet::new(FleetConfig::new(nodes(8)).with_p2c_sharding(2));
+        let mut fleet = Fleet::new(FleetConfig::new(nodes(8)).with_sharding(2));
         for i in 0..32 {
             assert!(matches!(
                 fleet.dispatch(tenant(i)),
@@ -430,7 +300,7 @@ mod tests {
     #[test]
     fn p2c_routing_is_deterministic() {
         let run_once = || {
-            let mut fleet = Fleet::new(FleetConfig::new(nodes(12)).with_p2c_sharding(3));
+            let mut fleet = Fleet::new(FleetConfig::new(nodes(12)).with_sharding(3));
             (0..24)
                 .map(|i| match fleet.dispatch(tenant(i)) {
                     DispatchOutcome::Placed(idx) => idx,
@@ -439,30 +309,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run_once(), run_once(), "same seq of routing decisions");
-    }
-
-    #[test]
-    fn routing_spreads_load_across_shards() {
-        let mut fleet = Fleet::new(
-            FleetConfig::new(nodes(8))
-                .with_placement(PlacementPolicy::LeastUtilization)
-                .with_sharding(2),
-        );
-        for i in 0..16 {
-            assert!(matches!(
-                fleet.dispatch(tenant(i)),
-                DispatchOutcome::Placed(_)
-            ));
-        }
-        // Spare-budget routing must not dogpile one shard: every shard
-        // carries something.
-        for range in shard_ranges(&fleet) {
-            let resident: usize = fleet.nodes()[range.clone()]
-                .iter()
-                .map(|n| n.tenants.len())
-                .sum();
-            assert!(resident > 0, "shard {range:?} left idle");
-        }
     }
 
     #[test]
@@ -493,7 +339,7 @@ mod tests {
             .map(|i| NodeSpec::sgprs(format!("tiny{i}"), GpuSpec::synthetic(12)))
             .collect();
         specs.extend(nodes(2));
-        let mut fleet = Fleet::new(FleetConfig::new(specs).with_p2c_sharding(2));
+        let mut fleet = Fleet::new(FleetConfig::new(specs).with_sharding(2));
         for k in 0..8 {
             let heavy = TenantSpec::new(format!("r34-{k}"), ModelKind::ResNet34, 60.0);
             match fleet.dispatch(heavy) {

@@ -6,26 +6,25 @@
 //! giving up the fleet's determinism contract or more than O(1) memory
 //! per node. Three pillars:
 //!
-//! * **Windowed time-series** ([`window`]) — simulated time is cut into
+//! * **Windowed time-series** (`window`) — simulated time is cut into
 //!   fixed [`TelemetryConfig::window`] intervals, each accumulating the
 //!   dispatch activity that fell inside it (admissions, rejections,
 //!   deferrals, re-pricing steps, migrations), the peak wait-queue
 //!   depth, and the mean sampled fleet utilisation.
-//! * **Quantile sketches** ([`sketch`]) — fixed-size, integer-centroid,
+//! * **Quantile sketches** (`sketch`) — fixed-size, integer-centroid,
 //!   deterministic [`QuantileSketch`]es for the queue-wait and
 //!   job-latency distributions, exporting p50/p90/p99 per window and
 //!   run-wide. Per-node latency sketches are merged in ascending node
 //!   index, and per-window wait sketches in window order, so the export
 //!   is byte-identical across worker counts.
-//! * **Decision trace** ([`trace`]) — an opt-in ring buffer of
+//! * **Decision trace** (`trace`) — an opt-in ring buffer of
 //!   [`TraceEvent`]s (dispatch verdict with cause and shard-probe
 //!   count, queue admission/expiry, re-pricing ladder steps, migration
 //!   victim/destination/stall, departures) plus hot-path profiling
 //!   counters. Deterministic counters land in the JSON profile block;
 //!   wall-clock histograms stay out of the export and are read through
-//!   [`crate::Fleet::span_profile`] /
-//!   [`crate::Fleet::plan_latency_histogram`].
-//! * **Span profiler** ([`prof`]) — an independently armed
+//!   [`crate::Fleet::span_profile`].
+//! * **Span profiler** (`prof`) — an independently armed
 //!   ([`crate::FleetConfig::with_profiling`]) wall-clock profiler over
 //!   the simulator's *own* hot paths ([`Span`]): per-span call counts
 //!   and log2 latency histograms, zero-cost when off, exported only via
@@ -68,10 +67,6 @@ pub struct TelemetryConfig {
     pub enabled: bool,
     /// Time-series window length (250 ms by default).
     pub window: SimDuration,
-    /// Centroid budget of every quantile sketch (per-window wait and
-    /// per-node latency); see [`QuantileSketch`] for the rank-error
-    /// bound it buys.
-    pub sketch_capacity: usize,
     /// Decision-trace ring capacity; 0 (the default) keeps the trace
     /// off even when telemetry is enabled.
     pub trace_capacity: usize,
@@ -95,7 +90,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             window: SimDuration::from_millis(250),
-            sketch_capacity: DEFAULT_SKETCH_CAPACITY,
             trace_capacity: 0,
             profiling: false,
         }
@@ -128,18 +122,6 @@ impl TelemetryConfig {
     #[must_use]
     pub fn with_profiling(mut self) -> Self {
         self.profiling = true;
-        self
-    }
-
-    /// Replaces the sketch centroid budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < 4` (see [`QuantileSketch::new`]).
-    #[must_use]
-    pub fn with_sketch_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 4, "a sketch needs at least 4 centroids");
-        self.sketch_capacity = capacity;
         self
     }
 }
@@ -385,9 +367,9 @@ impl Telemetry {
             return;
         }
         self.state = Some(State {
-            series: WindowSeries::new(self.cfg.window, horizon, self.cfg.sketch_capacity),
+            series: WindowSeries::new(self.cfg.window, horizon),
             node_latency: (0..n_nodes)
-                .map(|_| QuantileSketch::new(self.cfg.sketch_capacity))
+                .map(|_| QuantileSketch::new(DEFAULT_SKETCH_CAPACITY))
                 .collect(),
             trace: TraceRing::new(self.cfg.trace_capacity),
             profile: ProfileCounters::default(),
@@ -649,16 +631,6 @@ impl Telemetry {
         self.last_profile.as_ref()
     }
 
-    /// The wall-clock plan-latency histogram of the last finished run —
-    /// the [`Span::Plan`] row of [`Self::span_profile`] (all zeros when
-    /// profiling was off).
-    pub(crate) fn plan_latency_histogram(&self) -> [u64; PLAN_LATENCY_BINS] {
-        self.last_profile
-            .as_ref()
-            .map(|p| *p.wall_hist(Span::Plan))
-            .unwrap_or([0; PLAN_LATENCY_BINS])
-    }
-
     /// Finalises the run: folds the telemetry into a [`TelemetryReport`]
     /// (or `None` when telemetry was off) and snapshots the span
     /// profile.
@@ -676,12 +648,12 @@ impl Telemetry {
         let state = self.state.take()?;
         let fold_clock = self.prof_clock();
         let window = state.series.window();
-        let mut queue_wait = QuantileSketch::new(self.cfg.sketch_capacity);
+        let mut queue_wait = QuantileSketch::new(DEFAULT_SKETCH_CAPACITY);
         // Window order — the deterministic fold.
         for w in state.series.windows() {
             queue_wait.merge(&w.wait);
         }
-        let mut job_latency = QuantileSketch::new(self.cfg.sketch_capacity);
+        let mut job_latency = QuantileSketch::new(DEFAULT_SKETCH_CAPACITY);
         // Ascending node-index order — the deterministic fold.
         for s in &state.node_latency {
             job_latency.merge(s);
@@ -825,10 +797,13 @@ mod tests {
         let r = t.finish_report().expect("report");
         assert_eq!(r.profile.plans, 2);
         assert_eq!(r.profile.shard_probes, 5);
-        let hist = t.plan_latency_histogram();
-        assert_eq!(hist.iter().sum::<u64>(), 1, "one timed plan landed");
         let profile = t.span_profile().expect("profiling was armed");
         assert_eq!(profile.calls(Span::Plan), 1, "only the clocked plan spans");
+        assert_eq!(
+            profile.wall_hist(Span::Plan).iter().sum::<u64>(),
+            1,
+            "one timed plan landed"
+        );
         assert_eq!(
             profile.calls(Span::TelemetryFold),
             1,
@@ -857,6 +832,5 @@ mod tests {
         assert!(off.prof_clock().is_none(), "no clock without profiling");
         assert!(off.finish_report().is_some());
         assert!(off.span_profile().is_none(), "profiler never constructed");
-        assert_eq!(off.plan_latency_histogram(), [0; PLAN_LATENCY_BINS]);
     }
 }

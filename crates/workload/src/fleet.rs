@@ -7,7 +7,7 @@
 
 use sgprs_cluster::{
     ArrivalStream, ChurnConfig, ChurnEvent, ChurnTrace, Fleet, FleetConfig, FleetMetrics,
-    ModelKind, NodeScheduler, NodeSpec, PlacementPolicy, QueuePolicy, ShardRouter, TenantSpec,
+    ModelKind, NodeScheduler, NodeSpec, PlacementPolicy, QueuePolicy, TenantSpec,
 };
 use sgprs_gpu_sim::GpuSpec;
 use sgprs_rt::{SimDuration, SimTime};
@@ -57,13 +57,10 @@ pub struct FleetScenario {
     pub sim: SimDuration,
     /// Jitter/churn seed.
     pub seed: u64,
-    /// Two-level sharded dispatch: nodes per shard (`None` = flat
-    /// O(nodes) placement scan).
+    /// Two-level sharded dispatch: nodes per shard, routed by
+    /// power-of-two-choices probes (`None` = flat O(nodes) placement
+    /// scan).
     pub sharding: Option<usize>,
-    /// First-level routing strategy when sharding is on:
-    /// [`ShardRouter::Scan`] orders every shard (the classic default),
-    /// [`ShardRouter::P2c`] probes two — O(1) in the shard count.
-    pub shard_router: ShardRouter,
     /// Wait-queue retry order (FIFO is the default and the classic
     /// fleet semantics).
     pub queue_policy: QueuePolicy,
@@ -102,7 +99,6 @@ impl FleetScenario {
             sim: SimDuration::from_secs(sim_secs),
             seed: 0x5672_5053,
             sharding: None,
-            shard_router: ShardRouter::Scan,
             queue_policy: QueuePolicy::Fifo,
             repricing: false,
             migration: None,
@@ -212,8 +208,8 @@ impl FleetScenario {
 
     /// A metro-scale fleet: `n_nodes` heterogeneous devices (cycling
     /// 68/46/34/23-SM sizes) behind power-of-two-choices routing over
-    /// 8-node shards — the 512–1024-node regime where even the ordered
-    /// O(shards) scan becomes the arrival bottleneck. Load is
+    /// 8-node shards — the 512–10,000-node regime where routing must
+    /// not grow with the shard count. Load is
     /// [`TenantLoad::Metro`]: brisk base churn whose arrival rate grows
     /// with the fleet (≈ one arrival per node per two seconds, lifetimes
     /// 2–10 s) plus a synchronized burst wave of `n_nodes / 4` extra
@@ -263,7 +259,6 @@ impl FleetScenario {
         };
         FleetScenario {
             sharding: Some(8),
-            shard_router: ShardRouter::P2c,
             queue_policy: QueuePolicy::EarliestDeadline,
             repricing: true,
             ..FleetScenario::base(
@@ -385,16 +380,6 @@ impl FleetScenario {
         self
     }
 
-    /// Replaces the shard routing strategy (for routing comparisons;
-    /// only meaningful with [`FleetScenario::sharding`] set) and
-    /// relabels like [`FleetScenario::with_placement`].
-    #[must_use]
-    pub fn with_shard_router(mut self, router: ShardRouter) -> Self {
-        self.shard_router = router;
-        self.label = format!("{} [router={router}]", self.label);
-        self
-    }
-
     /// Replaces the placement policy (for policy comparisons).
     #[must_use]
     pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
@@ -495,10 +480,7 @@ impl FleetScenario {
             cfg = cfg.with_repricing();
         }
         if let Some(shard_size) = self.sharding {
-            cfg = match self.shard_router {
-                ShardRouter::Scan => cfg.with_sharding(shard_size),
-                ShardRouter::P2c => cfg.with_p2c_sharding(shard_size),
-            };
+            cfg = cfg.with_sharding(shard_size);
         }
         if let Some(threshold) = self.migration {
             cfg = cfg.with_migration(threshold);
@@ -579,7 +561,6 @@ mod tests {
         let s = FleetScenario::metro_scale(512, 4);
         assert_eq!(s.nodes.len(), 512);
         assert_eq!(s.sharding, Some(8));
-        assert_eq!(s.shard_router, ShardRouter::P2c);
         assert_eq!(s.trace(), s.trace(), "same seed, same trace");
         let events = s.trace().into_sorted();
         let burst_arrivals = events

@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run --release --example fleet_serving`
 
-use sgprs_suite::cluster::{Fleet, FleetConfig, QueuePolicy, TelemetryConfig};
+use sgprs_suite::cluster::{Fleet, FleetConfig, QueuePolicy, Span, TelemetryConfig};
 use sgprs_suite::rt::SimDuration;
 use sgprs_suite::workload::FleetScenario;
 
@@ -97,7 +97,8 @@ fn main() {
     for line in &traced.trace {
         eprintln!("  {line}");
     }
-    let hist = traced_fleet.plan_latency_histogram();
+    let profile = traced_fleet.span_profile().expect("profiling was armed");
+    let hist = profile.wall_hist(Span::Plan);
     let planned: u64 = hist.iter().sum();
     let modal_bin = hist
         .iter()

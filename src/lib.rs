@@ -19,10 +19,10 @@
 //!   streams (`cluster::ArrivalStream`, lazy pull in O(active-tenants)
 //!   memory, byte-identical to the materialised trace) feeding
 //!   dispatching (flat, or two-level sharded via
-//!   `cluster::FleetConfig::with_sharding`, with `cluster::ShardRouter`
-//!   choosing the ordered shard scan or O(1) power-of-two-choices
-//!   routing for 512–1024-node fleets), utilisation-bound admission
-//!   control, placement policies, policy-ordered wait queueing
+//!   `cluster::FleetConfig::with_sharding`, routed by O(1)
+//!   power-of-two-choices shard probes for 512–10,000-node fleets),
+//!   utilisation-bound admission control, placement policies,
+//!   policy-ordered wait queueing
 //!   (`cluster::QueuePolicy`: FIFO, priority-weight, earliest queue
 //!   deadline, weighted-fair with aging) with an fps re-pricing ladder
 //!   (admit degraded instead of rejecting, upgrade back in place as

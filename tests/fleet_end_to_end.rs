@@ -6,7 +6,7 @@
 //! FIFO-reject on the overload burst.
 
 use sgprs_suite::cluster::{
-    AdmissionController, ArrivalStream, ChurnConfig, ChurnTrace, Fleet, FleetConfig,
+    AdmissionController, ArrivalStream, ChurnConfig, ChurnEvent, ChurnTrace, Fleet, FleetConfig,
     FleetMetricsBuilder, FleetNode, ModelKind, NodeSpec, QueuePolicy, Span, TelemetryConfig,
     TenantSpec, BASE_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
 };
@@ -96,46 +96,41 @@ fn fleet_json_reports_fps_and_rejection_rate() {
 
 /// The determinism matrix: on the heterogeneous churn scenario the
 /// `FleetMetrics` JSON is byte-identical across worker counts
-/// {1, 2, 4, 8} × {sequential, parallel} × {flat, sharded}. The sharded
-/// leg uses one shard covering all four nodes, which provably routes
-/// through the identical placement scan — so the *entire* 16-way product
-/// collapses onto one reference string. (FIFO queueing is the default
+/// {1, 2, 4, 8} × {flat, sharded} (one worker is the sequential leg).
+/// The sharded leg uses one shard covering all four nodes, which
+/// provably routes through the identical placement scan — so the
+/// *entire* 8-way product collapses onto one reference string. (FIFO queueing is the default
 /// here: this is also the pin that the queue subsystem leaves the
 /// classic dispatcher bit-for-bit unchanged.)
 #[test]
 fn fleet_metrics_identical_across_workers_parallelism_and_dispatch() {
     let scenario = FleetScenario::heterogeneous_churn(4);
-    let run = |parallel: bool, workers: usize, sharded: bool| {
+    let run = |workers: usize, sharded: bool| {
         let mut cfg = FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
             .with_workers(workers);
-        if !parallel {
-            cfg = cfg.sequential();
-        }
         if sharded {
             cfg = cfg.with_sharding(scenario.nodes.len());
         }
         Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
     };
-    let reference = run(false, 1, false);
+    let reference = run(1, false);
     for workers in [1usize, 2, 4, 8] {
-        for parallel in [false, true] {
-            for sharded in [false, true] {
-                assert_eq!(
-                    run(parallel, workers, sharded),
-                    reference,
-                    "workers={workers} parallel={parallel} sharded={sharded} \
-                     must be bit-identical to the sequential flat reference"
-                );
-            }
+        for sharded in [false, true] {
+            assert_eq!(
+                run(workers, sharded),
+                reference,
+                "workers={workers} sharded={sharded} \
+                 must be bit-identical to the sequential flat reference"
+            );
         }
     }
 }
 
 /// The streaming tentpole pin: the generator-backed [`ArrivalStream`]
 /// must reproduce the pre-materialised trace byte-for-byte through the
-/// full fleet pipeline — the same 16-way matrix as above (workers
-/// {1, 2, 4, 8} × {sequential, parallel} × {flat, sharded}), every leg
+/// full fleet pipeline — the same 8-way matrix as above (workers
+/// {1, 2, 4, 8} × {flat, sharded}), every leg
 /// fed by a lazy stream, all collapsing onto the materialised
 /// sequential-flat reference. Churn scenarios stream by default now
 /// (`FleetScenario::run` never materialises the trace), so this is the
@@ -151,33 +146,27 @@ fn streamed_arrivals_are_byte_identical_to_the_materialised_trace() {
     let reference = Fleet::new(
         FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
-            .with_workers(1)
-            .sequential(),
+            .with_workers(1),
     )
     .run(scenario.trace(), scenario.sim)
     .to_json();
     for workers in [1usize, 2, 4, 8] {
-        for parallel in [false, true] {
-            for sharded in [false, true] {
-                let mut cfg = FleetConfig::new(scenario.nodes.clone())
-                    .with_seed(scenario.seed)
-                    .with_workers(workers);
-                if !parallel {
-                    cfg = cfg.sequential();
-                }
-                if sharded {
-                    cfg = cfg.with_sharding(scenario.nodes.len());
-                }
-                let arrivals = scenario.arrivals();
-                assert!(arrivals.is_streaming(), "the lazy path must be exercised");
-                assert_eq!(
-                    Fleet::new(cfg).run(arrivals, scenario.sim).to_json(),
-                    reference,
-                    "workers={workers} parallel={parallel} sharded={sharded}: \
-                     streamed arrivals must be byte-identical to the \
-                     materialised reference"
-                );
+        for sharded in [false, true] {
+            let mut cfg = FleetConfig::new(scenario.nodes.clone())
+                .with_seed(scenario.seed)
+                .with_workers(workers);
+            if sharded {
+                cfg = cfg.with_sharding(scenario.nodes.len());
             }
+            let arrivals = scenario.arrivals();
+            assert!(arrivals.is_streaming(), "the lazy path must be exercised");
+            assert_eq!(
+                Fleet::new(cfg).run(arrivals, scenario.sim).to_json(),
+                reference,
+                "workers={workers} sharded={sharded}: \
+                 streamed arrivals must be byte-identical to the \
+                 materialised reference"
+            );
         }
     }
 }
@@ -239,21 +228,16 @@ fn id_table_is_bounded_by_active_tenants_not_trace_length() {
 #[test]
 fn multi_shard_dispatch_is_deterministic_across_workers() {
     let scenario = FleetScenario::heterogeneous_churn(4);
-    let run = |parallel: bool, workers: usize| {
-        let mut cfg = FleetConfig::new(scenario.nodes.clone())
+    let run = |workers: usize| {
+        let cfg = FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
             .with_workers(workers)
             .with_sharding(2);
-        if !parallel {
-            cfg = cfg.sequential();
-        }
         Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
     };
-    let reference = run(false, 1);
-    for workers in [1usize, 2, 4, 8] {
-        for parallel in [false, true] {
-            assert_eq!(run(parallel, workers), reference);
-        }
+    let reference = run(1);
+    for workers in [2usize, 4, 8] {
+        assert_eq!(run(workers), reference);
     }
 }
 
@@ -485,37 +469,32 @@ fn fleet_metrics_json_schema_matches_golden_snapshot() {
 /// The p2c determinism matrix: with power-of-two-choices routing the
 /// probe pair comes from a seeded hash (never from wall-clock or map
 /// order), so the `FleetMetrics` JSON must be byte-identical across
-/// worker counts {1, 2, 4, 8} × {sequential, parallel} on the epoch
-/// path, and across workers {1, 4} on the (single-threaded) event path.
+/// worker counts {1, 2, 4, 8} on the epoch path, and across workers
+/// {1, 4} on the (single-threaded) event path.
 #[test]
 fn p2c_dispatch_is_deterministic_across_workers_and_engines() {
     let scenario = FleetScenario::heterogeneous_churn(4);
-    let epoch_run = |parallel: bool, workers: usize| {
-        let mut cfg = FleetConfig::new(scenario.nodes.clone())
+    let epoch_run = |workers: usize| {
+        let cfg = FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
             .with_workers(workers)
-            .with_p2c_sharding(2);
-        if !parallel {
-            cfg = cfg.sequential();
-        }
+            .with_sharding(2);
         Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
     };
-    let reference = epoch_run(false, 1);
-    for workers in [1usize, 2, 4, 8] {
-        for parallel in [false, true] {
-            assert_eq!(
-                epoch_run(parallel, workers),
-                reference,
-                "workers={workers} parallel={parallel}: p2c routing must be \
-                 byte-identical to the sequential reference"
-            );
-        }
+    let reference = epoch_run(1);
+    for workers in [2usize, 4, 8] {
+        assert_eq!(
+            epoch_run(workers),
+            reference,
+            "workers={workers}: p2c routing must be byte-identical to the \
+             sequential reference"
+        );
     }
     let event_run = |workers: usize| {
         let cfg = FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
             .with_workers(workers)
-            .with_p2c_sharding(2);
+            .with_sharding(2);
         Fleet::new(cfg)
             .run_events(scenario.trace(), scenario.sim)
             .to_json()
@@ -550,7 +529,7 @@ fn metro_scale_serves_in_both_engines() {
     let mut fleet = Fleet::new(
         FleetConfig::new(epoch_scenario.nodes.clone())
             .with_seed(epoch_scenario.seed)
-            .with_p2c_sharding(8),
+            .with_sharding(8),
     );
     let m = fleet.run(epoch_scenario.trace(), epoch_scenario.sim);
     assert!(m.admitted > 0);
@@ -649,40 +628,51 @@ fn telemetry_observes_without_steering_and_stays_off_by_default() {
     );
 }
 
-/// The 16-way determinism matrix again, telemetry armed: the v3 export
-/// (windows, merged sketch quantiles, profile counters) must stay
-/// byte-identical across workers {1, 2, 4, 8} × {sequential, parallel}
-/// × {flat, sharded} — per-node sketches always fold in node-index
-/// order, never in completion order.
+/// The 8-way determinism matrix again, telemetry and the decision trace
+/// armed: the v3 export (windows, merged sketch quantiles, profile
+/// counters, trace lines) must stay byte-identical across workers
+/// {1, 2, 4, 8} × {flat, sharded} — per-node sketches always fold in
+/// node-index order, never in completion order. One extra VGG-16@30 fps
+/// arrival is latency-infeasible on every node: the whole-fleet shard
+/// must still spend the one placement scan flat dispatch spends on it,
+/// so its probe count and trace line match the flat reference.
 #[test]
 fn telemetry_matrix_is_byte_identical_across_workers_parallelism_and_dispatch() {
     let scenario = FleetScenario::heterogeneous_churn(4);
-    let run = |parallel: bool, workers: usize, sharded: bool| {
+    let trace = || {
+        let mut trace = scenario.trace();
+        trace.push(
+            SimTime::ZERO + SimDuration::from_secs(1),
+            ChurnEvent::Arrival(TenantSpec::new("vgg-30fps", ModelKind::Vgg16, 30.0)),
+        );
+        trace
+    };
+    let run = |workers: usize, sharded: bool| {
+        let telemetry = TelemetryConfig::windowed(SimDuration::from_millis(250)).with_trace(4096);
         let mut cfg = FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
             .with_workers(workers)
-            .with_telemetry(TelemetryConfig::windowed(SimDuration::from_millis(250)));
-        if !parallel {
-            cfg = cfg.sequential();
-        }
+            .with_telemetry(telemetry);
         if sharded {
             cfg = cfg.with_sharding(scenario.nodes.len());
         }
-        Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
+        Fleet::new(cfg).run(trace(), scenario.sim).to_json()
     };
-    let reference = run(false, 1, false);
+    let reference = run(1, false);
     assert!(reference.contains("\"schema_version\": 3"));
     assert!(reference.contains("\"telemetry\""));
+    assert!(
+        reference.contains("vgg-30fps"),
+        "the infeasible arrival is traced"
+    );
     for workers in [1usize, 2, 4, 8] {
-        for parallel in [false, true] {
-            for sharded in [false, true] {
-                assert_eq!(
-                    run(parallel, workers, sharded),
-                    reference,
-                    "workers={workers} parallel={parallel} sharded={sharded}: \
-                     telemetry must not leak execution-strategy noise"
-                );
-            }
+        for sharded in [false, true] {
+            assert_eq!(
+                run(workers, sharded),
+                reference,
+                "workers={workers} sharded={sharded}: \
+                 telemetry must not leak execution-strategy noise"
+            );
         }
     }
 }
@@ -698,7 +688,7 @@ fn metro_telemetry_is_byte_identical_across_workers_in_both_engines() {
         FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
             .with_workers(workers)
-            .with_p2c_sharding(8)
+            .with_sharding(8)
             .with_queue_policy(QueuePolicy::EarliestDeadline)
             .with_repricing()
             .with_telemetry(TelemetryConfig::windowed(SimDuration::from_millis(250)))
@@ -758,7 +748,7 @@ fn span_profiler_is_zero_cost_off_and_inert_on() {
     let cfg = || {
         FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
-            .sequential()
+            .with_workers(1)
     };
 
     // Off: the profiler is never constructed — not "constructed but
@@ -806,21 +796,18 @@ fn span_profiler_is_zero_cost_off_and_inert_on() {
 
 /// The profiling-armed determinism matrix: with the span profiler on,
 /// the `FleetMetrics` JSON stays byte-identical across workers
-/// {1, 2, 4, 8} × {sequential, parallel} × {flat, sharded} — and equal
+/// {1, 2, 4, 8} × {flat, sharded} — and equal
 /// to the *unprofiled* sequential-flat reference, so the profiler
 /// provably never leaks wall-clock into a deterministic surface.
 #[test]
 fn profiled_matrix_is_byte_identical_across_workers_parallelism_and_dispatch() {
     let scenario = FleetScenario::heterogeneous_churn(4);
-    let run = |parallel: bool, workers: usize, sharded: bool, profiled: bool| {
+    let run = |workers: usize, sharded: bool, profiled: bool| {
         let mut cfg = FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
             .with_workers(workers);
         if profiled {
             cfg = cfg.with_profiling();
-        }
-        if !parallel {
-            cfg = cfg.sequential();
         }
         if sharded {
             cfg = cfg.with_sharding(scenario.nodes.len());
@@ -829,17 +816,15 @@ fn profiled_matrix_is_byte_identical_across_workers_parallelism_and_dispatch() {
     };
     // The reference runs with profiling OFF: every profiled leg below
     // must match it exactly.
-    let reference = run(false, 1, false, false);
+    let reference = run(1, false, false);
     for workers in [1usize, 2, 4, 8] {
-        for parallel in [false, true] {
-            for sharded in [false, true] {
-                assert_eq!(
-                    run(parallel, workers, sharded, true),
-                    reference,
-                    "workers={workers} parallel={parallel} sharded={sharded}: \
-                     an armed profiler must not perturb the deterministic export"
-                );
-            }
+        for sharded in [false, true] {
+            assert_eq!(
+                run(workers, sharded, true),
+                reference,
+                "workers={workers} sharded={sharded}: \
+                 an armed profiler must not perturb the deterministic export"
+            );
         }
     }
 }

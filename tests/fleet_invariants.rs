@@ -1,7 +1,7 @@
-//! Property-based fleet invariants: the sharded dispatch plan (ordered
-//! scan *and* power-of-two-choices) and the flat placement scan must
-//! agree on feasibility over random fleets and tenants, planned nodes
-//! must always pass admission, queue policies must keep their ordering
+//! Property-based fleet invariants: the sharded dispatch plan
+//! (power-of-two-choices with its fallback sweep) and the flat placement
+//! scan must agree on feasibility over random fleets and tenants,
+//! planned nodes must always pass admission, queue policies must keep their ordering
 //! guarantees, and — since every decision now routes through the shared
 //! `cluster::policy` kernel — the epoch and event engines must make
 //! identical admission/placement decisions at matching decision
@@ -42,62 +42,9 @@ fn tenant(i: usize, model_idx: usize, fps_idx: usize) -> TenantSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any tenant the flat O(nodes) scan can place on the current fleet
-    /// state, the sharded router (including its stale-summary fallback)
-    /// also places — and vice versa: routing through shard summaries
-    /// never invents or destroys feasibility, it only narrows where the
-    /// placement policy looks first.
-    #[test]
-    fn sharded_plan_and_flat_scan_agree_on_feasibility(
-        size_idxs in prop::collection::vec(0usize..5, 1..10),
-        shard_size in 1usize..5,
-        preload in 0usize..48,
-        probes in prop::collection::vec((0usize..5, 0usize..4), 1..6),
-    ) {
-        let nodes: Vec<NodeSpec> = size_idxs
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| node(i, s))
-            .collect();
-        let mut fleet = Fleet::new(FleetConfig::new(nodes).with_sharding(shard_size));
-        // Load the fleet into an arbitrary mid-life state (queued and
-        // infeasible outcomes are fine — they leave residents behind).
-        for i in 0..preload {
-            let _ = fleet.dispatch(tenant(i, i, i / 2));
-        }
-        for (k, &(model_idx, fps_idx)) in probes.iter().enumerate() {
-            let probe = TenantSpec::new(
-                format!("probe-{k}"),
-                ModelKind::ALL[model_idx],
-                FPS_STEPS[fps_idx],
-            );
-            let flat_choice =
-                Placer::new(PlacementPolicy::LeastUtilization)
-                    .place(fleet.nodes(), &probe, fleet.admission());
-            let sharded_choice = fleet.plan(&probe);
-            prop_assert_eq!(
-                flat_choice.is_some(),
-                sharded_choice.is_some(),
-                "flat {:?} vs sharded {:?} for {:?}",
-                flat_choice,
-                sharded_choice,
-                &probe
-            );
-            // A planned node always passes real admission.
-            if let Some(idx) = sharded_choice {
-                prop_assert!(
-                    fleet.admission().evaluate(&fleet.nodes()[idx], &probe).is_admit(),
-                    "planned node {} rejects {:?}",
-                    idx,
-                    &probe
-                );
-            }
-        }
-    }
-
     /// Power-of-two-choices routing agrees with the flat scan on
     /// feasibility for any fleet state: probing two shards (plus the
-    /// exhaustive fallback sweep when both refuse) narrows where the
+    /// fallback sweep of the rest when both refuse) narrows where the
     /// placement policy looks, never whether a feasible node is found —
     /// and a planned node always passes real admission.
     #[test]
@@ -112,7 +59,7 @@ proptest! {
             .enumerate()
             .map(|(i, &s)| node(i, s))
             .collect();
-        let mut fleet = Fleet::new(FleetConfig::new(nodes).with_p2c_sharding(shard_size));
+        let mut fleet = Fleet::new(FleetConfig::new(nodes).with_sharding(shard_size));
         for i in 0..preload {
             let _ = fleet.dispatch(tenant(i, i, i / 2));
         }
@@ -150,8 +97,8 @@ proptest! {
     /// trace (no departures, so both engines face the same fleet state
     /// at every dispatch), the epoch run and the event run must admit,
     /// defer, degrade, and place *identically* — same per-node resident
-    /// (name, fps) lists, same queue, same dispatch counters — under
-    /// any routing (flat, shard-scan, p2c) and with or without the
+    /// (name, fps) lists, same queue, same dispatch counters — flat or
+    /// sharded at any of three shard sizes, with or without the
     /// re-pricing ladder. This is the pin that the engines consume the
     /// shared `cluster::policy` kernel and cannot silently fork.
     #[test]
@@ -171,7 +118,7 @@ proptest! {
             c = match dispatch {
                 0 => c,
                 1 => c.with_sharding(2),
-                2 => c.with_p2c_sharding(2),
+                2 => c.with_sharding(1),
                 _ => c.with_sharding(3),
             };
             if repricing {
