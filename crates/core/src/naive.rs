@@ -54,6 +54,8 @@ pub struct NaiveScheduler {
     running: HashMap<KernelHandle, JobRef>,
     last_tenant: Vec<Option<usize>>,
     collector: MetricsCollector,
+    /// Completion buffer reused across [`GpuEngine::advance_to`] calls.
+    events: Vec<DeviceEvent>,
 }
 
 impl NaiveScheduler {
@@ -102,6 +104,7 @@ impl NaiveScheduler {
             running: HashMap::new(),
             last_tenant: vec![None; n_ctx],
             collector,
+            events: Vec::new(),
         }
     }
 
@@ -129,15 +132,15 @@ impl NaiveScheduler {
             if next > end {
                 break;
             }
-            let events = self.engine.advance_to(next);
-            self.handle_events(&events);
+            self.engine.advance_to(next, &mut self.events);
+            self.handle_events();
             if next_release == next {
                 self.do_releases(next);
             }
             self.dispatch();
         }
-        let events = self.engine.advance_to(end);
-        self.handle_events(&events);
+        self.engine.advance_to(end, &mut self.events);
+        self.handle_events();
         let names = self.tasks.iter().map(|t| t.spec.name.clone()).collect();
         let fresh = MetricsCollector::new(names, SimTime::ZERO + self.config.warmup);
         std::mem::replace(&mut self.collector, fresh).finish(end)
@@ -184,8 +187,9 @@ impl NaiveScheduler {
         }
     }
 
-    fn handle_events(&mut self, events: &[DeviceEvent]) {
-        for ev in events {
+    fn handle_events(&mut self) {
+        let mut events = std::mem::take(&mut self.events);
+        for ev in events.drain(..) {
             let Some(job) = self.running.remove(&ev.kernel) else {
                 continue;
             };
@@ -202,6 +206,7 @@ impl NaiveScheduler {
                 }
             }
         }
+        self.events = events;
     }
 
     fn dispatch(&mut self) {
@@ -221,9 +226,14 @@ impl NaiveScheduler {
                 self.config.switch_cost_ns(self.tenants[ctx])
             };
             self.last_tenant[ctx] = Some(job.task);
-            let label = format!("τ{}#{}", job.task, job.release_index);
-            let desc = KernelDesc::new(label, self.tasks[job.task].whole_profile.clone())
-                .with_extra_ns(switch_ns);
+            // Only the device trace reads the label.
+            let label = if self.config.tracing {
+                format!("τ{}#{}", job.task, job.release_index)
+            } else {
+                String::new()
+            };
+            let desc =
+                KernelDesc::new(label, self.tasks[job.task].whole_profile).with_extra_ns(switch_ns);
             let handle = self
                 .engine
                 .submit(ContextId(ctx), StreamClass::High, desc)

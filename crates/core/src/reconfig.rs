@@ -78,6 +78,8 @@ pub struct ReconfigScheduler {
     /// the layout is sized for).
     seen: Vec<bool>,
     repartitions: u64,
+    /// Completion buffer reused across [`GpuEngine::advance_to`] calls.
+    events: Vec<DeviceEvent>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +123,7 @@ impl ReconfigScheduler {
             admit_seq: vec![0; n_tasks],
             seen: vec![false; n_tasks],
             repartitions: 0,
+            events: Vec::new(),
         }
     }
 
@@ -164,16 +167,16 @@ impl ReconfigScheduler {
             if next > end {
                 break;
             }
-            let events = self.engine.advance_to(next);
-            self.handle_events(&events);
+            self.engine.advance_to(next, &mut self.events);
+            self.handle_events();
             if next_release <= next {
                 self.do_releases(next);
             }
             self.maybe_repartition(next);
             self.dispatch();
         }
-        let events = self.engine.advance_to(end);
-        self.handle_events(&events);
+        self.engine.advance_to(end, &mut self.events);
+        self.handle_events();
         let names = self.tasks.iter().map(|t| t.spec.name.clone()).collect();
         let fresh = MetricsCollector::new(names, SimTime::ZERO + self.config.base.warmup);
         std::mem::replace(&mut self.collector, fresh).finish(end)
@@ -202,7 +205,7 @@ impl ReconfigScheduler {
         // The fresh engine starts at t=0; bring it to `now` plus the stall.
         let stall = SimDuration::from_nanos(self.config.repartition_stall_ns);
         self.stalled_until = now + stall;
-        self.engine.advance_to(self.stalled_until);
+        self.engine.advance_to(self.stalled_until, &mut self.events);
         self.current_partitions = desired;
         self.repartitions += 1;
     }
@@ -248,8 +251,9 @@ impl ReconfigScheduler {
         });
     }
 
-    fn handle_events(&mut self, events: &[DeviceEvent]) {
-        for ev in events {
+    fn handle_events(&mut self) {
+        let mut events = std::mem::take(&mut self.events);
+        for ev in events.drain(..) {
             let Some(job) = self.running.remove(&ev.kernel) else {
                 continue;
             };
@@ -266,6 +270,7 @@ impl ReconfigScheduler {
                 }
             }
         }
+        self.events = events;
     }
 
     fn dispatch(&mut self) {
@@ -279,8 +284,8 @@ impl ReconfigScheduler {
             let Some(job) = self.queue.pop_front() else {
                 return;
             };
-            let label = format!("τ{}#{}", job.task, job.release_index);
-            let desc = KernelDesc::new(label, self.tasks[job.task].whole_profile.clone());
+            // This engine records no trace, the label's only reader.
+            let desc = KernelDesc::new(String::new(), self.tasks[job.task].whole_profile);
             let handle = self
                 .engine
                 .submit(ContextId(ctx), StreamClass::High, desc)

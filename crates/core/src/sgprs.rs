@@ -81,6 +81,8 @@ pub struct SgprsScheduler {
     /// Total stream slots across the pool (the device's job-level
     /// concurrency; admission never declines below this depth).
     slot_count: usize,
+    /// Completion buffer reused across [`GpuEngine::advance_to`] calls.
+    events: Vec<DeviceEvent>,
 }
 
 impl SgprsScheduler {
@@ -131,6 +133,7 @@ impl SgprsScheduler {
             sm_allocs,
             fifo_seq: 0,
             slot_count: n_ctx * ContextConfig::new(1).total_streams(),
+            events: Vec::new(),
         }
     }
 
@@ -158,15 +161,15 @@ impl SgprsScheduler {
             if next > end {
                 break;
             }
-            let events = self.engine.advance_to(next);
-            self.handle_events(&events);
+            self.engine.advance_to(next, &mut self.events);
+            self.handle_events();
             if next_release == next {
                 self.do_releases(next);
             }
             self.dispatch();
         }
-        let events = self.engine.advance_to(end);
-        self.handle_events(&events);
+        self.engine.advance_to(end, &mut self.events);
+        self.handle_events();
         let names = self.tasks.iter().map(|t| t.spec.name.clone()).collect();
         let fresh = MetricsCollector::new(names, SimTime::ZERO + self.config.warmup);
         std::mem::replace(&mut self.collector, fresh).finish(end)
@@ -272,10 +275,11 @@ impl SgprsScheduler {
         }
     }
 
-    /// Handles kernel completions: stage bookkeeping, promotion rule, job
-    /// completion accounting.
-    fn handle_events(&mut self, events: &[DeviceEvent]) {
-        for ev in events {
+    /// Handles the buffered kernel completions: stage bookkeeping,
+    /// promotion rule, job completion accounting.
+    fn handle_events(&mut self) {
+        let mut events = std::mem::take(&mut self.events);
+        for ev in events.drain(..) {
             let Some((sref, est)) = self.running.remove(&ev.kernel) else {
                 continue;
             };
@@ -286,24 +290,16 @@ impl SgprsScheduler {
             };
             let missed_virtual =
                 ev.finished_at > job.stages[sref.stage].absolute_deadline;
-            let (ready, completed, release, deadline) = {
-                let spec = &self.tasks[sref.task].spec;
-                let newly_ready = job.complete_stage(sref.stage, ev.finished_at, spec);
-                let ready: Vec<(usize, PriorityLevel)> = newly_ready
-                    .into_iter()
-                    .map(|stage| {
-                        let mut priority = spec.stages[stage].priority;
-                        // §IV-B3: a low stage whose predecessor missed its
-                        // virtual deadline is promoted to medium.
-                        if missed_virtual && self.config.medium_promotion {
-                            priority = priority.promoted();
-                        }
-                        (stage, priority)
-                    })
-                    .collect();
-                (ready, job.completed_at, job.release, job.absolute_deadline)
-            };
-            for (stage, priority) in ready {
+            let ready = job.complete_stage(sref.stage, ev.finished_at, &self.tasks[sref.task].spec);
+            let (completed, release, deadline) =
+                (job.completed_at, job.release, job.absolute_deadline);
+            for stage in ready {
+                let mut priority = self.tasks[sref.task].spec.stages[stage].priority;
+                // §IV-B3: a low stage whose predecessor missed its virtual
+                // deadline is promoted to medium.
+                if missed_virtual && self.config.medium_promotion {
+                    priority = priority.promoted();
+                }
                 let sref = StageRef {
                     task: sref.task,
                     release_index: sref.release_index,
@@ -324,6 +320,7 @@ impl SgprsScheduler {
                 self.grab_buffered(sref.task, done);
             }
         }
+        self.events = events;
     }
 
     /// §IV-B2 context assignment: empty queues first, then the
@@ -498,11 +495,13 @@ impl SgprsScheduler {
     }
 
     fn submit(&mut self, ctx: usize, class: StreamClass, sref: StageRef) {
-        let label = format!(
-            "τ{}#{}/s{}",
-            sref.task, sref.release_index, sref.stage
-        );
-        let profile = self.tasks[sref.task].stage_profiles[sref.stage].clone();
+        // Only the device trace reads the label.
+        let label = if self.config.tracing {
+            format!("τ{}#{}/s{}", sref.task, sref.release_index, sref.stage)
+        } else {
+            String::new()
+        };
+        let profile = self.tasks[sref.task].stage_profiles[sref.stage];
         let est = self.isolated_estimate_ns(ctx, sref);
         let handle = self
             .engine

@@ -15,11 +15,33 @@
 //! passive: schedulers drive it by submitting kernels and asking it to
 //! advance to the next completion or to a chosen instant (e.g. the next
 //! job release).
+//!
+//! # Incremental reflow
+//!
+//! A reflow (after every submit and every batch of retirements) is
+//! incremental and allocation-free. Each resident kernel caches its
+//! effective SM share `m_eff`, its work duration at that share
+//! (`duration_ns_at(m_eff)`, the expensive sum over the speedup curves)
+//! and its occupancy (total single-SM work over that duration). A
+//! reflow re-sums each context's weight in place and recomputes every
+//! kernel's `m_eff` (one division). The cached duration and occupancy
+//! are invalidated only when the bits of `m_eff` change, which can only
+//! happen when the kernel's own context gained or lost a kernel. The
+//! device occupancy is then re-summed from the cached values in resident
+//! order and kept for the next submit's jitter draw, and every rate is
+//! recomputed from the cached duration. Every float operation sees the
+//! same inputs in the same order as a from-scratch recomputation, so the
+//! cache changes no output bit.
+//!
+//! Completions are appended to a caller-owned buffer
+//! ([`GpuEngine::advance_to`]), and retirements go through a reused
+//! scratch list, so steady-state simulation allocates nothing.
 
 use crate::{ContentionModel, GpuSimError, KernelDesc, SpeedupModel, TraceRecorder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sgprs_rt::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Identifier of a context in the engine's context pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -124,8 +146,6 @@ pub struct DeviceEvent {
     pub context: ContextId,
     /// Stream it occupied.
     pub stream: StreamId,
-    /// Trace label of the kernel.
-    pub label: String,
     /// Submission instant.
     pub submitted_at: SimTime,
     /// Completion instant.
@@ -167,6 +187,13 @@ struct RunningKernel {
     /// Current progress rate in fraction per nanosecond.
     rate: f64,
     submitted_at: SimTime,
+    /// Effective SM share at the last reflow (NaN before the first).
+    m_eff: f64,
+    /// `desc.work.duration_ns_at(m_eff)`, cached with `m_eff`.
+    work_ns: f64,
+    /// SM-equivalents the kernel keeps busy at `m_eff`: its effective
+    /// speedup, cached with `m_eff`.
+    occupancy: f64,
 }
 
 #[derive(Debug, Clone)]
@@ -174,9 +201,19 @@ struct ContextState {
     config: ContextConfig,
     /// One slot per stream: the handle of the kernel occupying it.
     slots: Vec<Option<KernelHandle>>,
+    /// Processor-sharing weight of the resident kernels, re-summed in
+    /// resident order on every reflow.
+    weight_sum: f64,
 }
 
 impl ContextState {
+    fn weight(&self, class: StreamClass) -> f64 {
+        match class {
+            StreamClass::High => self.config.high_weight,
+            StreamClass::Low => self.config.low_weight,
+        }
+    }
+
     fn idle_slot(&self, class: StreamClass) -> Option<usize> {
         let range = match class {
             StreamClass::High => 0..self.config.high_streams,
@@ -218,9 +255,17 @@ pub struct GpuEngine {
     /// Cumulative busy nanoseconds per context (≥1 resident kernel).
     busy_ns: Vec<f64>,
     completed_count: u64,
+    /// Total occupancy (SM-equivalents) of the resident set at the last
+    /// reflow — what the next submit's jitter draw sees. A kernel at
+    /// speedup `s` keeps `s` SMs' worth of throughput busy; the rest of
+    /// its allocation idles and is up for grabs, which is what makes
+    /// over-subscription profitable (see [`ContentionModel`]).
+    occupancy: f64,
     /// Events already produced but not yet returned (simultaneous
     /// completions split by [`GpuEngine::run_next`]).
-    pending: Vec<DeviceEvent>,
+    pending: VecDeque<DeviceEvent>,
+    /// Scratch list of the kernels retiring at one instant.
+    retired: Vec<RunningKernel>,
 }
 
 /// Builder for [`GpuEngine`] (see `C-BUILDER`).
@@ -288,6 +333,7 @@ impl GpuEngineBuilder {
             .map(|config| ContextState {
                 slots: vec![None; config.total_streams()],
                 config,
+                weight_sum: 0.0,
             })
             .collect();
         let busy_ns = vec![0.0; contexts.len()];
@@ -308,7 +354,9 @@ impl GpuEngineBuilder {
             },
             busy_ns,
             completed_count: 0,
-            pending: Vec::new(),
+            occupancy: 0.0,
+            pending: VecDeque::new(),
+            retired: Vec::new(),
         }
     }
 }
@@ -422,10 +470,9 @@ impl GpuEngine {
         self.next_handle += 1;
 
         // Jitter depends on the overcommit level at submit time.
-        let occupancy = self.current_occupancy();
         let half = self
             .contention
-            .jitter_halfwidth(occupancy, f64::from(self.spec.total_sms));
+            .jitter_halfwidth(self.occupancy, f64::from(self.spec.total_sms));
         let jitter = if half > 0.0 {
             (1.0 + self.rng.random_range(-1.0..1.0) * half).max(0.5)
         } else {
@@ -450,6 +497,11 @@ impl GpuEngine {
             remaining: 1.0,
             rate: 0.0,
             submitted_at: self.now,
+            // What a NaN share yields, so the first reflow's cache check
+            // needs no special case.
+            m_eff: f64::NAN,
+            work_ns: f64::NAN,
+            occupancy: 0.0,
         });
         self.recompute_rates();
         Ok(handle)
@@ -471,30 +523,30 @@ impl GpuEngine {
     }
 
     /// Runs until the next completion and returns it, or `None` if the
-    /// device is idle.
+    /// device is idle. Simultaneous completions are returned one call at
+    /// a time, in handle order.
     pub fn run_next(&mut self) -> Option<DeviceEvent> {
-        if !self.pending.is_empty() {
-            return Some(self.pending.remove(0));
+        if self.pending.is_empty() {
+            let t = self.next_event_time()?;
+            // Both conversions reuse the deque's buffer.
+            let mut events = Vec::from(std::mem::take(&mut self.pending));
+            self.advance_to(t, &mut events);
+            debug_assert!(!events.is_empty(), "a completion was due at {t}");
+            self.pending = VecDeque::from(events);
         }
-        let t = self.next_event_time()?;
-        let mut events = self.advance_to(t);
-        debug_assert!(!events.is_empty(), "a completion was due at {t}");
-        if events.len() > 1 {
-            // Re-queue the extras by rolling time back is impossible;
-            // instead we return the first and keep the rest pending.
-            let rest = events.split_off(1);
-            self.pending.extend(rest);
-        }
-        Some(events.remove(0))
+        self.pending.pop_front()
     }
 
-    /// Advances simulated time to `t`, returning every completion event in
-    /// chronological order. `t` earlier than [`GpuEngine::now`] is a no-op
-    /// that returns only pending events.
-    pub fn advance_to(&mut self, t: SimTime) -> Vec<DeviceEvent> {
-        let mut events: Vec<DeviceEvent> = std::mem::take(&mut self.pending);
+    /// Advances simulated time to `t`, appending every completion event to
+    /// `events` in chronological order (simultaneous completions in handle
+    /// order), after any events [`GpuEngine::run_next`] still holds. `t`
+    /// earlier than [`GpuEngine::now`] only appends those held events.
+    /// The caller owns `events`, so a reused buffer keeps the engine
+    /// allocation-free.
+    pub fn advance_to(&mut self, t: SimTime, events: &mut Vec<DeviceEvent>) {
+        events.extend(self.pending.drain(..));
         if t <= self.now {
-            return events;
+            return;
         }
         loop {
             let next = self
@@ -507,7 +559,7 @@ impl GpuEngine {
                 let next_t = SimTime::from_nanos(next.ceil() as u64).max(self.now);
                 self.progress_to(next_t);
                 // Retire every kernel whose remaining work reached zero.
-                let mut retired = Vec::new();
+                let mut retired = std::mem::take(&mut self.retired);
                 let mut i = 0;
                 while i < self.running.len() {
                     if self.running[i].remaining <= Self::EPSILON {
@@ -516,9 +568,10 @@ impl GpuEngine {
                         i += 1;
                     }
                 }
-                // Deterministic ordering for simultaneous completions.
-                retired.sort_by_key(|k| k.handle);
-                for k in retired {
+                // Deterministic ordering for simultaneous completions
+                // (handles are unique, so an unstable sort is exact).
+                retired.sort_unstable_by_key(|k| k.handle);
+                for k in retired.drain(..) {
                     self.contexts[k.context.0].slots[k.stream.index] = None;
                     self.completed_count += 1;
                     if let Some(trace) = &mut self.trace {
@@ -528,27 +581,28 @@ impl GpuEngine {
                         kernel: k.handle,
                         context: k.context,
                         stream: k.stream,
-                        label: k.desc.label,
                         submitted_at: k.submitted_at,
                         finished_at: self.now,
                     });
                 }
+                self.retired = retired;
                 self.recompute_rates();
             } else {
                 self.progress_to(t);
                 break;
             }
         }
-        events
     }
 
-    /// Runs the device until it is completely idle, returning all events.
+    /// Runs the device until it is completely idle, returning every event
+    /// [`GpuEngine::run_next`] still held followed by all remaining
+    /// completions. A convenience for tests and one-shot runs; simulation
+    /// loops call [`GpuEngine::advance_to`] with a reused buffer instead.
     pub fn drain(&mut self) -> Vec<DeviceEvent> {
-        let mut events = Vec::new();
+        let mut events = Vec::from(std::mem::take(&mut self.pending));
         while let Some(t) = self.next_event_time() {
-            events.extend(self.advance_to(t));
+            self.advance_to(t, &mut events);
         }
-        events.extend(std::mem::take(&mut self.pending));
         events
     }
 
@@ -575,49 +629,6 @@ impl GpuEngine {
 
     const EPSILON: f64 = 1e-9;
 
-    /// The effective SM share of a running kernel: its context's
-    /// allocation split among resident kernels by stream-priority weight.
-    fn m_eff_of(&self, k: &RunningKernel, weight_sum: &[f64]) -> f64 {
-        let cfg = &self.contexts[k.context.0].config;
-        let w = match k.class {
-            StreamClass::High => cfg.high_weight,
-            StreamClass::Low => cfg.low_weight,
-        };
-        let share = if weight_sum[k.context.0] > 0.0 {
-            w / weight_sum[k.context.0]
-        } else {
-            1.0
-        };
-        f64::from(cfg.sm_alloc) * share
-    }
-
-    fn weight_sums(&self) -> Vec<f64> {
-        let mut weight_sum = vec![0.0f64; self.contexts.len()];
-        for k in &self.running {
-            let cfg = &self.contexts[k.context.0].config;
-            weight_sum[k.context.0] += match k.class {
-                StreamClass::High => cfg.high_weight,
-                StreamClass::Low => cfg.low_weight,
-            };
-        }
-        weight_sum
-    }
-
-    /// Total occupancy demanded by the resident kernels, in SM-equivalents
-    /// (a kernel at speedup `s` keeps `s` SMs' worth of throughput busy —
-    /// the rest of its allocation idles and is up for grabs, which is what
-    /// makes over-subscription profitable; see [`ContentionModel`]).
-    fn current_occupancy(&self) -> f64 {
-        let weight_sum = self.weight_sums();
-        self.running
-            .iter()
-            .map(|k| {
-                let m_eff = self.m_eff_of(k, &weight_sum);
-                k.desc.work.effective_speedup(&self.speedup, m_eff)
-            })
-            .sum()
-    }
-
     /// Moves all running kernels' progress forward to instant `t` under the
     /// currently set rates and updates busy-time accounting.
     fn progress_to(&mut self, t: SimTime) {
@@ -640,28 +651,41 @@ impl GpuEngine {
     }
 
     /// Recomputes every running kernel's rate from the current resident
-    /// set. Must be called after any submit/retire.
+    /// set. Must be called after any submit/retire. See the module
+    /// documentation for what is cached and when it is invalidated.
     fn recompute_rates(&mut self) {
-        let total = f64::from(self.spec.total_sms);
-        let weight_sum = self.weight_sums();
-        let m_effs: Vec<f64> = self
-            .running
-            .iter()
-            .map(|k| self.m_eff_of(k, &weight_sum))
-            .collect();
-        let occupancy: f64 = self
-            .running
-            .iter()
-            .zip(&m_effs)
-            .map(|(k, &m)| k.desc.work.effective_speedup(&self.speedup, m))
-            .sum();
-        let factor = self.contention.rate_factor(occupancy, total);
-        let launch_ns = self.spec.launch_overhead_ns as f64;
+        for c in &mut self.contexts {
+            c.weight_sum = 0.0;
+        }
+        for k in &self.running {
+            let c = &mut self.contexts[k.context.0];
+            c.weight_sum += c.weight(k.class);
+        }
+        // The effective SM share of each kernel: its context's allocation
+        // split among resident kernels by stream-priority weight.
+        let contexts = &self.contexts;
         let speedup = &self.speedup;
-        for (k, &m_eff) in self.running.iter_mut().zip(&m_effs) {
-            let duration_ns = launch_ns
-                + k.desc.extra_ns
-                + k.desc.work.duration_ns_at(speedup, m_eff) * k.jitter;
+        for k in &mut self.running {
+            let c = &contexts[k.context.0];
+            let share = if c.weight_sum > 0.0 {
+                c.weight(k.class) / c.weight_sum
+            } else {
+                1.0
+            };
+            let m_eff = f64::from(c.config.sm_alloc) * share;
+            if m_eff.to_bits() != k.m_eff.to_bits() {
+                k.m_eff = m_eff;
+                k.work_ns = k.desc.work.duration_ns_at(speedup, m_eff);
+                k.occupancy = k.desc.work.speedup_over(k.work_ns);
+            }
+        }
+        self.occupancy = self.running.iter().map(|k| k.occupancy).sum();
+        let factor = self
+            .contention
+            .rate_factor(self.occupancy, f64::from(self.spec.total_sms));
+        let launch_ns = self.spec.launch_overhead_ns as f64;
+        for k in &mut self.running {
+            let duration_ns = launch_ns + k.desc.extra_ns + k.work_ns * k.jitter;
             k.rate = if duration_ns > 0.0 {
                 factor / duration_ns
             } else {
@@ -866,7 +890,8 @@ mod tests {
     #[test]
     fn advance_to_without_completions_just_moves_time() {
         let mut e = ideal_engine(&[68]);
-        let evs = e.advance_to(SimTime::from_nanos(1_000));
+        let mut evs = Vec::new();
+        e.advance_to(SimTime::from_nanos(1_000), &mut evs);
         assert!(evs.is_empty());
         assert_eq!(e.now(), SimTime::from_nanos(1_000));
     }
@@ -874,8 +899,9 @@ mod tests {
     #[test]
     fn advance_to_past_is_a_no_op() {
         let mut e = ideal_engine(&[68]);
-        e.advance_to(SimTime::from_nanos(1_000));
-        let evs = e.advance_to(SimTime::from_nanos(500));
+        let mut evs = Vec::new();
+        e.advance_to(SimTime::from_nanos(1_000), &mut evs);
+        e.advance_to(SimTime::from_nanos(500), &mut evs);
         assert!(evs.is_empty());
         assert_eq!(e.now(), SimTime::from_nanos(1_000));
     }
@@ -891,7 +917,7 @@ mod tests {
             .unwrap();
         let iso = e.estimate_isolated(ContextId(0), &conv_kernel(1e7));
         let half = SimTime::from_nanos(iso.as_nanos() / 2);
-        e.advance_to(half);
+        e.advance_to(half, &mut Vec::new());
         e.submit(ContextId(0), StreamClass::High, conv_kernel(1e7))
             .unwrap();
         let evs = e.drain();
@@ -903,7 +929,7 @@ mod tests {
     #[test]
     fn busy_fraction_tracks_idle_time() {
         let mut e = ideal_engine(&[68]);
-        e.advance_to(SimTime::from_nanos(1_000_000));
+        e.advance_to(SimTime::from_nanos(1_000_000), &mut Vec::new());
         assert_eq!(e.busy_fraction(ContextId(0)), 0.0);
         e.submit(ContextId(0), StreamClass::High, conv_kernel(1e6))
             .unwrap();

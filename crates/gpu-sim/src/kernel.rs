@@ -18,7 +18,20 @@ pub struct WorkSegment {
     pub single_sm_ns: f64,
 }
 
+/// Most segments a profile holds: one per [`OpClass`].
+const MAX_SEGMENTS: usize = OpClass::ALL.len();
+
+/// Filler for the unused tail of a profile's inline segment array.
+const UNUSED: WorkSegment = WorkSegment {
+    op: OpClass::Convolution,
+    single_sm_ns: 0.0,
+};
+
 /// The operation-class mix of a kernel.
+///
+/// At most one segment per operation class, stored inline in insertion
+/// order (so every sum over the segments keeps its order), which makes
+/// the profile `Copy` and free to pass around.
 ///
 /// # Example
 ///
@@ -33,9 +46,10 @@ pub struct WorkSegment {
 /// let t1 = profile.duration_at(&model, 1.0);
 /// assert!(t68 < t1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, Copy)]
 pub struct WorkProfile {
-    segments: Vec<WorkSegment>,
+    segments: [WorkSegment; MAX_SEGMENTS],
+    len: usize,
 }
 
 impl WorkProfile {
@@ -43,7 +57,8 @@ impl WorkProfile {
     #[must_use]
     pub fn new() -> Self {
         WorkProfile {
-            segments: Vec::new(),
+            segments: [UNUSED; MAX_SEGMENTS],
+            len: 0,
         }
     }
 
@@ -62,36 +77,37 @@ impl WorkProfile {
         if !single_sm_ns.is_finite() || single_sm_ns <= 0.0 {
             return;
         }
-        if let Some(seg) = self.segments.iter_mut().find(|s| s.op == op) {
+        if let Some(seg) = self.segments[..self.len].iter_mut().find(|s| s.op == op) {
             seg.single_sm_ns += single_sm_ns;
         } else {
-            self.segments.push(WorkSegment { op, single_sm_ns });
+            self.segments[self.len] = WorkSegment { op, single_sm_ns };
+            self.len += 1;
         }
     }
 
     /// Merges another profile into this one.
     pub fn merge(&mut self, other: &WorkProfile) {
-        for seg in &other.segments {
+        for seg in other.segments() {
             self.add(seg.op, seg.single_sm_ns);
         }
     }
 
-    /// The segments of this profile.
+    /// The segments of this profile, in insertion order.
     #[must_use]
     pub fn segments(&self) -> &[WorkSegment] {
-        &self.segments
+        &self.segments[..self.len]
     }
 
     /// Total single-SM execution time in nanoseconds.
     #[must_use]
     pub fn total_single_sm_ns(&self) -> f64 {
-        self.segments.iter().map(|s| s.single_sm_ns).sum()
+        self.segments().iter().map(|s| s.single_sm_ns).sum()
     }
 
     /// `true` when the profile carries no work.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty() || self.total_single_sm_ns() <= 0.0
+        self.len == 0 || self.total_single_sm_ns() <= 0.0
     }
 
     /// Execution time of the whole profile at `m` SMs:
@@ -112,7 +128,7 @@ impl WorkProfile {
         if m <= 0.0 {
             return f64::INFINITY;
         }
-        self.segments
+        self.segments()
             .iter()
             .map(|s| s.single_sm_ns / model.speedup(s.op, m))
             .sum()
@@ -123,7 +139,12 @@ impl WorkProfile {
     /// whole ResNet18 (≈ 23× at 68 SMs).
     #[must_use]
     pub fn effective_speedup(&self, model: &SpeedupModel, m: f64) -> f64 {
-        let t_m = self.duration_ns_at(model, m);
+        self.speedup_over(self.duration_ns_at(model, m))
+    }
+
+    /// The effective speedup given the profile's duration `t_m` (ns) at
+    /// some SM count, for callers that already hold that duration.
+    pub(crate) fn speedup_over(&self, t_m: f64) -> f64 {
         if t_m <= 0.0 || !t_m.is_finite() {
             return 0.0;
         }
@@ -137,12 +158,32 @@ impl WorkProfile {
         if total <= 0.0 {
             return 0.0;
         }
-        self.segments
+        self.segments()
             .iter()
             .filter(|s| s.op == op)
             .map(|s| s.single_sm_ns)
             .sum::<f64>()
             / total
+    }
+}
+
+impl Default for WorkProfile {
+    fn default() -> Self {
+        WorkProfile::new()
+    }
+}
+
+impl PartialEq for WorkProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments() == other.segments()
+    }
+}
+
+impl core::fmt::Debug for WorkProfile {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("WorkProfile")
+            .field("segments", &self.segments())
+            .finish()
     }
 }
 
@@ -268,6 +309,50 @@ mod tests {
         let b = WorkProfile::single(OpClass::Convolution, 5.0);
         a.merge(&b);
         assert!((a.total_single_sm_ns() - 15.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_class_fits_and_merging_keeps_one_segment_per_class() {
+        let mut p = WorkProfile::new();
+        for (i, &op) in OpClass::ALL.iter().enumerate() {
+            p.add(op, (i + 1) as f64);
+        }
+        assert_eq!(p.segments().len(), OpClass::ALL.len());
+        let copy = p;
+        p.merge(&copy);
+        assert_eq!(p.segments().len(), OpClass::ALL.len());
+        for (i, &op) in OpClass::ALL.iter().enumerate() {
+            assert_eq!(p.segments()[i].op, op);
+            assert_eq!(p.segments()[i].single_sm_ns, 2.0 * (i + 1) as f64);
+        }
+    }
+
+    #[test]
+    fn segments_keep_insertion_order() {
+        let mut p = WorkProfile::new();
+        for op in [OpClass::Softmax, OpClass::Convolution, OpClass::BatchNorm] {
+            p.add(op, 1.0);
+        }
+        p.add(OpClass::Convolution, 1.0);
+        let ops: Vec<OpClass> = p.segments().iter().map(|s| s.op).collect();
+        assert_eq!(
+            ops,
+            [OpClass::Softmax, OpClass::Convolution, OpClass::BatchNorm]
+        );
+    }
+
+    #[test]
+    fn equal_profiles_built_differently_compare_equal() {
+        let mut added = WorkProfile::new();
+        added.add(OpClass::Convolution, 3.0);
+        added.add(OpClass::Linear, 1.0);
+        let mut merged = WorkProfile::single(OpClass::Convolution, 1.0);
+        merged.merge(&WorkProfile::single(OpClass::Convolution, 2.0));
+        merged.merge(&WorkProfile::single(OpClass::Linear, 1.0));
+        let collected: WorkProfile = added.segments().iter().copied().collect();
+        assert_eq!(added, merged);
+        assert_eq!(added, collected);
+        assert_ne!(added, WorkProfile::single(OpClass::Convolution, 3.0));
     }
 
     #[test]

@@ -10,11 +10,15 @@
 //!   curves fitted to the paper's Figure 1 (convolution 32×, max-pool 14×,
 //!   every other op ≤ 7× at 68 SMs).
 //! * [`WorkProfile`] / [`KernelDesc`] — the unit of device work: a stage's
-//!   mix of operation classes with per-class single-SM execution time.
+//!   mix of operation classes with per-class single-SM execution time
+//!   (a `Copy` profile with its at most eight segments stored inline).
 //! * [`GpuEngine`] — the discrete-event engine: contexts with SM
 //!   allocations, prioritised stream slots, weighted processor sharing
 //!   within a context, and a global contention model when the context pool
-//!   over-subscribes the physical SMs.
+//!   over-subscribes the physical SMs. Its reflow is incremental (per-kernel
+//!   cached share, duration and occupancy) and allocation-free; completions
+//!   go to a caller-owned buffer through [`GpuEngine::advance_to`] or one at
+//!   a time through [`GpuEngine::run_next`].
 //! * [`TraceRecorder`] — optional timeline capture with Chrome-trace JSON
 //!   export for debugging schedules visually.
 //!

@@ -158,7 +158,8 @@ impl SpeedupCurve {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupModel {
-    curves: Vec<(OpClass, SpeedupCurve)>,
+    /// One curve per class, indexed by `op as usize`.
+    curves: [SpeedupCurve; OpClass::ALL.len()],
     /// Reference SM count the calibration targets refer to.
     pub m_ref: f64,
 }
@@ -187,50 +188,41 @@ impl SpeedupModel {
     }
 
     /// Builds a model by fitting one curve per `(op, target_speedup)` pair
-    /// at the reference SM count `m_ref`.
+    /// at the reference SM count `m_ref`. The first target of a class
+    /// wins; a class without a target gets the slowest-scaling fitted
+    /// curve so behaviour is conservative.
     ///
     /// # Panics
     ///
     /// Panics if any target is infeasible (see [`SpeedupCurve::fitted`]).
     #[must_use]
     pub fn from_targets(targets: &[(OpClass, f64)], m_ref: f64) -> Self {
-        let curves = targets
-            .iter()
-            .map(|&(op, s)| (op, SpeedupCurve::fitted(s, m_ref)))
-            .collect();
-        SpeedupModel { curves, m_ref }
+        let mut fitted = [None; OpClass::ALL.len()];
+        let mut slowest: Option<SpeedupCurve> = None;
+        for &(op, s) in targets {
+            let curve = SpeedupCurve::fitted(s, m_ref);
+            fitted[op as usize].get_or_insert(curve);
+            if slowest.is_none_or(|c| curve.parallel_fraction() < c.parallel_fraction()) {
+                slowest = Some(curve);
+            }
+        }
+        let fallback = slowest.unwrap_or(SpeedupCurve::from_parallel_fraction(0.0));
+        SpeedupModel {
+            curves: fitted.map(|c| c.unwrap_or(fallback)),
+            m_ref,
+        }
     }
 
-    /// The curve for `op`; falls back to the slowest-scaling curve in the
-    /// model for unknown classes so behaviour is conservative.
+    /// The curve for `op`.
     #[must_use]
     pub fn curve(&self, op: OpClass) -> SpeedupCurve {
-        self.curves
-            .iter()
-            .find(|(o, _)| *o == op)
-            .map(|(_, c)| *c)
-            .unwrap_or_else(|| {
-                self.curves
-                    .iter()
-                    .map(|(_, c)| *c)
-                    .min_by(|a, b| {
-                        a.parallel_fraction()
-                            .partial_cmp(&b.parallel_fraction())
-                            .expect("fractions are finite")
-                    })
-                    .unwrap_or(SpeedupCurve::from_parallel_fraction(0.0))
-            })
+        self.curves[op as usize]
     }
 
     /// Speedup of `op` at `m` SMs.
     #[must_use]
     pub fn speedup(&self, op: OpClass, m: f64) -> f64 {
         self.curve(op).speedup(m)
-    }
-
-    /// Iterates over the calibrated `(op, curve)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (OpClass, SpeedupCurve)> + '_ {
-        self.curves.iter().copied()
     }
 }
 
@@ -335,5 +327,31 @@ mod tests {
         // (softmax) curve, not the conv curve.
         let got = model.speedup(OpClass::Linear, 68.0);
         assert!((got - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn duplicate_targets_take_the_first() {
+        let model = SpeedupModel::from_targets(
+            &[(OpClass::Convolution, 32.0), (OpClass::Convolution, 4.0)],
+            68.0,
+        );
+        assert_eq!(
+            model.curve(OpClass::Convolution),
+            SpeedupCurve::fitted(32.0, 68.0)
+        );
+        // The fallback still sees every target: unknown classes get the
+        // slower duplicate.
+        assert_eq!(
+            model.curve(OpClass::Linear),
+            SpeedupCurve::fitted(4.0, 68.0)
+        );
+    }
+
+    #[test]
+    fn calibrated_model_maps_each_class_to_its_fig1_target() {
+        let model = SpeedupModel::calibrated_rtx_2080_ti();
+        for (op, target) in FIG1_TARGETS {
+            assert_eq!(model.curve(op), SpeedupCurve::fitted(target, 68.0), "{op}");
+        }
     }
 }

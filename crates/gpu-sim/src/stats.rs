@@ -151,9 +151,12 @@ mod tests {
         let mut rec = UtilizationRecorder::new(SimDuration::from_millis(1));
         assert!(rec.sample_if_due(&e));
         assert!(!rec.sample_if_due(&e), "same instant: not due again");
-        e.advance_to(SimTime::ZERO + SimDuration::from_micros(500));
+        e.advance_to(
+            SimTime::ZERO + SimDuration::from_micros(500),
+            &mut Vec::new(),
+        );
         assert!(!rec.sample_if_due(&e), "interval not elapsed");
-        e.advance_to(SimTime::ZERO + SimDuration::from_millis(1));
+        e.advance_to(SimTime::ZERO + SimDuration::from_millis(1), &mut Vec::new());
         assert!(rec.sample_if_due(&e));
         assert_eq!(rec.samples().len(), 2);
     }
@@ -177,7 +180,7 @@ mod tests {
         let mut rec = UtilizationRecorder::new(SimDuration::from_nanos(1));
         rec.sample_if_due(&e); // 0 resident
         e.submit(ContextId(0), StreamClass::High, kernel()).unwrap();
-        e.advance_to(SimTime::ZERO + SimDuration::from_nanos(10));
+        e.advance_to(SimTime::ZERO + SimDuration::from_nanos(10), &mut Vec::new());
         rec.sample_if_due(&e); // 1 resident
         let hist = rec.residency_histogram();
         assert_eq!(hist[0], 1);
