@@ -99,7 +99,7 @@ impl AdmissionDecision {
     /// Remaining admissible demand after this decision (zero when
     /// rejected).
     #[must_use]
-    pub fn headroom(&self) -> f64 {
+    pub(crate) fn headroom(&self) -> f64 {
         match self {
             AdmissionDecision::Admit { demand, budget } => (budget - demand).max(0.0),
             AdmissionDecision::Reject(_) => 0.0,
@@ -117,13 +117,13 @@ pub struct AdmissionController {
 impl AdmissionController {
     /// A controller with the given configuration.
     #[must_use]
-    pub fn new(cfg: AdmissionConfig) -> Self {
+    pub(crate) fn new(cfg: AdmissionConfig) -> Self {
         AdmissionController { cfg }
     }
 
     /// The configuration in use.
     #[must_use]
-    pub fn config(&self) -> &AdmissionConfig {
+    pub(crate) fn config(&self) -> &AdmissionConfig {
         &self.cfg
     }
 
@@ -147,7 +147,7 @@ impl AdmissionController {
     /// launch overhead per stage. No schedule can beat this, so a tenant
     /// whose bound exceeds its deadline is hopeless on this node.
     #[must_use]
-    pub fn best_case_latency(
+    pub(crate) fn best_case_latency(
         &self,
         node: &FleetNode,
         candidate: &TenantSpec,
@@ -165,7 +165,7 @@ impl AdmissionController {
     /// across a group of nodes yields a sound lower bound over the whole
     /// group — the shard router's cheap feasibility pre-filter.
     #[must_use]
-    pub fn best_case_latency_at(
+    pub(crate) fn best_case_latency_at(
         &self,
         context_sms: u32,
         launch_overhead_ns: u64,
@@ -221,7 +221,7 @@ impl AdmissionController {
     /// reference speed (one context at the pool's smallest allocation,
     /// executing the mixed profile alone).
     #[must_use]
-    pub fn fluid_processors(&self, node: &FleetNode, candidate: &TenantSpec) -> f64 {
+    pub(crate) fn fluid_processors(&self, node: &FleetNode, candidate: &TenantSpec) -> f64 {
         let mix = node.mixed_profile(Some(candidate));
         let speedup = SpeedupModel::calibrated_rtx_2080_ti();
         let reference =

@@ -245,7 +245,7 @@ impl EventQueue {
     /// simulated schedule, so it is deterministic (and byte-identical to
     /// the binary-heap implementation it replaced).
     #[must_use]
-    pub fn ops(&self) -> u64 {
+    pub(crate) fn ops(&self) -> u64 {
         self.ops
     }
 

@@ -272,28 +272,6 @@ impl Fleet {
         self.degraded.iter().flatten().count()
     }
 
-    /// Number of currently active tenants (resident or queued).
-    #[must_use]
-    pub fn active_tenants(&self) -> usize {
-        self.interner.live()
-    }
-
-    /// High-water mark of concurrently active tenants across the fleet's
-    /// lifetime.
-    #[must_use]
-    pub fn peak_active_tenants(&self) -> usize {
-        self.interner.peak_live()
-    }
-
-    /// Tenant-id slots ever allocated. With LIFO recycling this equals
-    /// [`Fleet::peak_active_tenants`] — independent of how many tenants
-    /// ever streamed through — which is the capacity check the
-    /// O(active)-memory claim rests on.
-    #[must_use]
-    pub fn tenant_id_capacity(&self) -> usize {
-        self.interner.capacity()
-    }
-
     /// The admission controller in use.
     #[must_use]
     pub fn admission(&self) -> &AdmissionController {
@@ -568,7 +546,7 @@ impl Fleet {
     /// capacity was released since the last pass the scan is skipped
     /// outright — admission is monotone in node load, so a head that did
     /// not fit then cannot fit now.
-    pub fn drain_queue(&mut self) -> u64 {
+    pub(crate) fn drain_queue(&mut self) -> u64 {
         self.drain_queue_admissions().len() as u64
     }
 

@@ -30,7 +30,7 @@ pub struct TenantId(u32);
 impl TenantId {
     /// The id as a `Vec` index.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
@@ -68,7 +68,7 @@ pub struct TenantInterner {
 impl TenantInterner {
     /// An empty table.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TenantInterner::default()
     }
 
@@ -79,7 +79,7 @@ impl TenantInterner {
     ///
     /// Panics if `name` is already active (the caller must check
     /// [`TenantInterner::lookup`] first — the fleet's duplicate gate).
-    pub fn intern(&mut self, name: &str) -> TenantId {
+    pub(crate) fn intern(&mut self, name: &str) -> TenantId {
         assert!(
             !self.by_name.contains_key(name),
             "tenant name {name:?} is already active"
@@ -103,7 +103,7 @@ impl TenantInterner {
 
     /// The active tenant's id, if `name` is active.
     #[must_use]
-    pub fn lookup(&self, name: &str) -> Option<TenantId> {
+    pub(crate) fn lookup(&self, name: &str) -> Option<TenantId> {
         self.by_name.get(name).copied().map(TenantId)
     }
 
@@ -113,7 +113,7 @@ impl TenantInterner {
     ///
     /// Panics if `id` is not active (stale or released).
     #[must_use]
-    pub fn name(&self, id: TenantId) -> &str {
+    pub(crate) fn name(&self, id: TenantId) -> &str {
         self.names
             .get(id.index())
             .and_then(Option::as_deref)
@@ -121,7 +121,7 @@ impl TenantInterner {
     }
 
     /// Releases `id`, freeing its slot (LIFO reuse) and its name.
-    pub fn release(&mut self, id: TenantId) {
+    pub(crate) fn release(&mut self, id: TenantId) {
         if let Some(name) = self.names.get_mut(id.index()).and_then(Option::take) {
             self.by_name.remove(&name);
             self.free.push(id.0);
@@ -130,13 +130,13 @@ impl TenantInterner {
 
     /// Number of currently active tenants.
     #[must_use]
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.by_name.len()
     }
 
     /// High-water mark of concurrently active tenants.
     #[must_use]
-    pub fn peak_live(&self) -> usize {
+    pub(crate) fn peak_live(&self) -> usize {
         self.peak_live
     }
 
@@ -144,7 +144,7 @@ impl TenantInterner {
     /// the peak active population, **not** the number of tenants ever
     /// seen: the capacity check the O(active)-memory claim rests on.
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.names.len()
     }
 }

@@ -251,7 +251,7 @@ impl FleetMetrics {
     /// Attaches a finished telemetry report, bumping the export to
     /// [`METRICS_SCHEMA_VERSION`]. A `None` report is a no-op: the
     /// metrics keep the [`BASE_SCHEMA_VERSION`] shape.
-    pub fn attach_telemetry(&mut self, telemetry: Option<TelemetryReport>) {
+    pub(crate) fn attach_telemetry(&mut self, telemetry: Option<TelemetryReport>) {
         if telemetry.is_some() {
             self.telemetry = telemetry;
             self.schema_version = METRICS_SCHEMA_VERSION;
@@ -366,13 +366,13 @@ impl FleetMetricsBuilder {
     }
 
     /// Records one frame release of node `node` (event path).
-    pub fn record_released(&mut self, node: usize) {
+    pub(crate) fn record_released(&mut self, node: usize) {
         self.released[node] += 1;
     }
 
     /// Records one job completion of node `node` (event path); a late
     /// completion is also a miss.
-    pub fn record_completed(&mut self, node: usize, late: bool) {
+    pub(crate) fn record_completed(&mut self, node: usize, late: bool) {
         self.completed[node] += 1;
         if late {
             self.missed[node] += 1;
@@ -381,12 +381,12 @@ impl FleetMetricsBuilder {
 
     /// Records one skipped (dropped-at-release) frame of node `node`
     /// (event path): released but never served, counted as a miss.
-    pub fn record_skipped(&mut self, node: usize) {
+    pub(crate) fn record_skipped(&mut self, node: usize) {
         self.missed[node] += 1;
     }
 
     /// Adds one migration's state-transfer stall (event path).
-    pub fn record_migration_stall(&mut self, stall: SimDuration) {
+    pub(crate) fn record_migration_stall(&mut self, stall: SimDuration) {
         self.migration_stall += stall;
     }
 

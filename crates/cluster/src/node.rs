@@ -72,7 +72,7 @@ impl NodeSpec {
 
     /// The context pool this node partitions its device into.
     #[must_use]
-    pub fn pool(&self) -> ContextPoolSpec {
+    pub(crate) fn pool(&self) -> ContextPoolSpec {
         let os = match self.scheduler {
             NodeScheduler::Sgprs { oversubscription } => oversubscription,
             NodeScheduler::Naive | NodeScheduler::Reconfig => 1.0,
@@ -86,7 +86,7 @@ impl NodeSpec {
     /// never delivers more than its physical SMs (the same occupancy
     /// argument as [`sgprs_core::analysis::estimate_capacity`]).
     #[must_use]
-    pub fn capacity_sm_equivalents(
+    pub(crate) fn capacity_sm_equivalents(
         &self,
         profile: &sgprs_gpu_sim::WorkProfile,
         concurrency: f64,
@@ -108,7 +108,7 @@ impl NodeSpec {
     /// node pool, from time zero to `horizon`, with metrics over the whole
     /// window (no warm-up: the fleet driver accounts epochs itself).
     #[must_use]
-    pub fn run_epoch(
+    pub(crate) fn run_epoch(
         &self,
         tasks: Vec<sgprs_core::CompiledTask>,
         horizon: SimDuration,
@@ -179,7 +179,7 @@ impl FleetNode {
 
     /// SMs of the biggest context (cached at construction).
     #[must_use]
-    pub fn max_context_sm(&self) -> u32 {
+    pub(crate) fn max_context_sm(&self) -> u32 {
         self.max_context_sm
     }
 
@@ -187,7 +187,7 @@ impl FleetNode {
     /// allocations: the identical fold in the identical order, without
     /// materialising the pool per call.
     #[must_use]
-    pub fn capacity_sm_equivalents(
+    pub(crate) fn capacity_sm_equivalents(
         &self,
         profile: &sgprs_gpu_sim::WorkProfile,
         concurrency: f64,
@@ -217,7 +217,10 @@ impl FleetNode {
     /// The demand-weighted work profile of the resident tenants plus an
     /// optional candidate — the mix the capacity estimate is taken at.
     #[must_use]
-    pub fn mixed_profile(&self, candidate: Option<&TenantSpec>) -> sgprs_gpu_sim::WorkProfile {
+    pub(crate) fn mixed_profile(
+        &self,
+        candidate: Option<&TenantSpec>,
+    ) -> sgprs_gpu_sim::WorkProfile {
         let mut mix = sgprs_gpu_sim::WorkProfile::new();
         for t in self.tenants.iter().chain(candidate) {
             mix.merge(t.model.work_profile());

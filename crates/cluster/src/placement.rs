@@ -50,12 +50,6 @@ impl Placer {
         Placer { policy, cursor: 0 }
     }
 
-    /// The policy in use.
-    #[must_use]
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
     /// Chooses a node for `tenant`, or `None` when no node admits it.
     /// Does not mutate the nodes; the caller commits the placement.
     #[must_use]

@@ -21,19 +21,19 @@
 //!   admission + placement planning, flat or shard-routed (probe two
 //!   shards, fall back to a sweep only when both refuse), with the
 //!   re-pricing ladder walked best step first.
-//! * [`queue_feasible`] — whether queueing a tenant can ever pay off
+//! * `queue_feasible` — whether queueing a tenant can ever pay off
 //!   (load-independent latency feasibility at any admissible price).
-//! * [`can_ever_fit`] / [`provably_hopeless`] — the demand-aware expiry
+//! * `can_ever_fit` / [`provably_hopeless`] — the demand-aware expiry
 //!   test: a waiter no node could admit *even empty*, at any ladder
 //!   step, can never be served and may be expired before its patience
 //!   elapses.
-//! * [`upgrade_candidates`] — the ladder steps an upgrade pass tries,
+//! * `upgrade_candidates` — the ladder steps an upgrade pass tries,
 //!   best first.
-//! * [`select_migration_victim`] — which resident a shedding node gives
+//! * `select_migration_victim` — which resident a shedding node gives
 //!   up ([`MigrationVictimPolicy::Lifo`] keeps the classic
 //!   most-recently-placed choice; `DemandAware` picks the tenant whose
 //!   departure best relieves the overload).
-//! * [`migration_destination`] — where the victim lands: the least
+//! * `migration_destination` — where the victim lands: the least
 //!   loaded node at or under the DMR threshold that admits it.
 //!
 //! Both engines call these through [`crate::Fleet`]'s orchestration
@@ -62,7 +62,7 @@ pub struct FleetState<'a> {
 impl<'a> FleetState<'a> {
     /// A view over `nodes` judged by `admission`.
     #[must_use]
-    pub fn new(nodes: &'a [FleetNode], admission: &'a AdmissionController) -> Self {
+    pub(crate) fn new(nodes: &'a [FleetNode], admission: &'a AdmissionController) -> Self {
         FleetState { nodes, admission }
     }
 }
@@ -247,7 +247,7 @@ impl DispatchPlanner {
 /// at every price can never fit and queueing it would only block the
 /// queue.
 #[must_use]
-pub fn queue_feasible(state: &FleetState<'_>, tenant: &TenantSpec, repricing: bool) -> bool {
+pub(crate) fn queue_feasible(state: &FleetState<'_>, tenant: &TenantSpec, repricing: bool) -> bool {
     let fits = |t: &TenantSpec| {
         state
             .nodes
@@ -268,7 +268,7 @@ pub fn queue_feasible(state: &FleetState<'_>, tenant: &TenantSpec, repricing: bo
 /// admission budget outright. Load-independent: the answer never changes
 /// over a fleet's lifetime, which is what makes early expiry *provable*.
 #[must_use]
-pub fn can_ever_fit(state: &FleetState<'_>, tenant: &TenantSpec) -> bool {
+pub(crate) fn can_ever_fit(state: &FleetState<'_>, tenant: &TenantSpec) -> bool {
     state.nodes.iter().any(|node| {
         let empty = FleetNode::new(node.spec.clone());
         state.admission.evaluate(&empty, tenant).is_admit()
@@ -298,7 +298,7 @@ pub fn provably_hopeless(state: &FleetState<'_>, tenant: &TenantSpec, repricing:
 /// first: the requested rate, then every ladder step below it, keeping
 /// only steps strictly above the currently served rate.
 #[must_use]
-pub fn upgrade_candidates(resident: &TenantSpec, requested: f64) -> Vec<f64> {
+pub(crate) fn upgrade_candidates(resident: &TenantSpec, requested: f64) -> Vec<f64> {
     std::iter::once(requested)
         .chain(
             resident
@@ -320,7 +320,7 @@ pub fn upgrade_candidates(resident: &TenantSpec, requested: f64) -> Vec<f64> {
 /// budget). One definition shared by the epoch path's boundary sweep and
 /// the event engine's release-boundary migration.
 #[must_use]
-pub fn select_migration_victim(
+pub(crate) fn select_migration_victim(
     node: &FleetNode,
     admission: &AdmissionController,
     policy: MigrationVictimPolicy,
@@ -353,7 +353,7 @@ pub fn select_migration_victim(
 /// sweep and the event engine's release-boundary migration, so the two
 /// modes cannot silently fork.
 #[must_use]
-pub fn migration_destination(
+pub(crate) fn migration_destination(
     state: &FleetState<'_>,
     src: usize,
     victim: &TenantSpec,

@@ -149,7 +149,7 @@ pub(crate) struct DispatchQueue {
 
 impl DispatchQueue {
     /// An empty queue draining in `policy` order.
-    pub fn new(policy: QueuePolicy) -> Self {
+    pub(crate) fn new(policy: QueuePolicy) -> Self {
         DispatchQueue {
             policy,
             entries: Vec::new(),
@@ -158,12 +158,12 @@ impl DispatchQueue {
     }
 
     /// Number of waiting tenants.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Enqueues `tenant` (interned as `id`) at instant `now`.
-    pub fn push(&mut self, id: TenantId, tenant: TenantSpec, now: SimTime) {
+    pub(crate) fn push(&mut self, id: TenantId, tenant: TenantSpec, now: SimTime) {
         self.entries.push(QueueEntry {
             id,
             tenant,
@@ -175,12 +175,12 @@ impl DispatchQueue {
 
     /// The waiting entries in insertion order (for set-like bookkeeping,
     /// not drain order).
-    pub fn entries(&self) -> impl Iterator<Item = &QueueEntry> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &QueueEntry> {
         self.entries.iter()
     }
 
     /// The waiting tenants' ids in insertion order.
-    pub fn ids(&self) -> impl Iterator<Item = TenantId> + '_ {
+    pub(crate) fn ids(&self) -> impl Iterator<Item = TenantId> + '_ {
         self.entries.iter().map(|e| e.id)
     }
 
@@ -191,14 +191,14 @@ impl DispatchQueue {
 
     /// Removes and returns the entry that drains next under the policy
     /// at `now`.
-    pub fn pop_first(&mut self, now: SimTime) -> Option<QueueEntry> {
+    pub(crate) fn pop_first(&mut self, now: SimTime) -> Option<QueueEntry> {
         self.first_index(now).map(|i| self.entries.remove(i))
     }
 
     /// Puts a popped entry back, keeping its original arrival serial so
     /// the drain order is unchanged (the policy keys ignore storage
     /// position).
-    pub fn reinsert(&mut self, entry: QueueEntry) {
+    pub(crate) fn reinsert(&mut self, entry: QueueEntry) {
         self.entries.push(entry);
     }
 
@@ -206,14 +206,14 @@ impl DispatchQueue {
     /// [`crate::Fleet::run`] starts a fresh timeline, so carried-over
     /// waiters measure waits (and their `max_wait` patience) on the new
     /// clock.
-    pub fn rebase(&mut self, start: SimTime) {
+    pub(crate) fn rebase(&mut self, start: SimTime) {
         for e in &mut self.entries {
             e.enqueued_at = start;
         }
     }
 
     /// Removes the entry with this id, returning it when it was waiting.
-    pub fn remove_id(&mut self, id: TenantId) -> Option<QueueEntry> {
+    pub(crate) fn remove_id(&mut self, id: TenantId) -> Option<QueueEntry> {
         self.entries
             .iter()
             .position(|e| e.id == id)
@@ -222,7 +222,7 @@ impl DispatchQueue {
 
     /// Removes and returns every entry whose queue deadline has passed at
     /// `now`, in insertion order.
-    pub fn take_expired(&mut self, now: SimTime) -> Vec<QueueEntry> {
+    pub(crate) fn take_expired(&mut self, now: SimTime) -> Vec<QueueEntry> {
         let mut expired = Vec::new();
         self.entries.retain(|e| match e.deadline() {
             Some(d) if d < now => {
@@ -235,7 +235,7 @@ impl DispatchQueue {
     }
 
     /// The waiting tenants' names in drain (policy) order at `now`.
-    pub fn names_in_order(&self, now: SimTime) -> Vec<String> {
+    pub(crate) fn names_in_order(&self, now: SimTime) -> Vec<String> {
         let mut idx: Vec<usize> = (0..self.entries.len()).collect();
         idx.sort_by_key(|&i| self.entries[i].key(self.policy, now));
         idx.into_iter()

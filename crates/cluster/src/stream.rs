@@ -128,7 +128,7 @@ impl ArrivalStream {
     }
 
     /// The instant of the next event without consuming it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         if self.lookahead.is_none() {
             self.lookahead = self.pull();
         }

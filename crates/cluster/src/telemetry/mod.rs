@@ -36,10 +36,9 @@
 //! — which is what makes the output a deterministic function of
 //! `(config, trace, horizon)`.
 //!
-//! Telemetry is **off by default** ([`TelemetryConfig::disabled`]) and
-//! the off path is zero-cost on the export: a run without telemetry
-//! renders byte-identical JSON to the pre-telemetry schema (see
-//! [`crate::METRICS_SCHEMA_VERSION`]).
+//! Telemetry is **off by default** and the off path is zero-cost on the
+//! export: a run without telemetry renders byte-identical JSON to the
+//! pre-telemetry schema (see [`crate::METRICS_SCHEMA_VERSION`]).
 
 mod prof;
 mod sketch;
@@ -60,10 +59,9 @@ use window::{WindowSeries, WindowStats};
 /// the module docs for what enabling buys.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryConfig {
-    /// Master switch. Off ([`TelemetryConfig::disabled`], the default)
-    /// means no telemetry state is allocated, no hook records anything,
-    /// and the JSON export is byte-identical to the pre-telemetry
-    /// schema.
+    /// Master switch. Off (the default) means no telemetry state is
+    /// allocated, no hook records anything, and the JSON export is
+    /// byte-identical to the pre-telemetry schema.
     pub enabled: bool,
     /// Time-series window length (250 ms by default).
     pub window: SimDuration,
@@ -86,7 +84,7 @@ impl Default for TelemetryConfig {
 impl TelemetryConfig {
     /// The default: telemetry fully off.
     #[must_use]
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         TelemetryConfig {
             enabled: false,
             window: SimDuration::from_millis(250),
@@ -255,7 +253,7 @@ impl TelemetryReport {
     /// JSON export (hand-rolled like the rest of
     /// [`crate::FleetMetrics::to_json`]), including the trailing comma.
     #[must_use]
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         let mut out = String::with_capacity(1_024);
         out.push_str("  \"telemetry\": {\n");
         out.push_str(&format!("    \"window_secs\": {:.3},\n", self.window_secs));

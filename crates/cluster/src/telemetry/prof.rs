@@ -138,12 +138,6 @@ impl SpanProfile {
     pub fn wall_hist(&self, span: Span) -> &[u64; PLAN_LATENCY_BINS] {
         &self.spans[span.index()].wall_hist
     }
-
-    /// Total calls across all spans.
-    #[must_use]
-    pub fn total_calls(&self) -> u64 {
-        self.spans.iter().map(|s| s.calls).sum()
-    }
 }
 
 /// The live recorder. Constructed **only** when a run is armed with
@@ -199,7 +193,6 @@ mod tests {
         assert_eq!(profile.calls(Span::Plan), 1);
         assert_eq!(profile.wall_hist(Span::Plan).iter().sum::<u64>(), 1);
         assert_eq!(profile.calls(Span::EventPop), 0);
-        assert_eq!(profile.total_calls(), 1);
     }
 
     #[test]

@@ -83,12 +83,6 @@ impl QuantileSketch {
         }
     }
 
-    /// The centroid budget this sketch was built with.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total samples observed.
     #[must_use]
     pub fn count(&self) -> u64 {

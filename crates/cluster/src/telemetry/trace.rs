@@ -121,7 +121,7 @@ impl TraceEvent {
     /// Renders the event as one compact, stable line (used by the JSON
     /// trace block and the example output).
     #[must_use]
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let secs = |t: &SimTime| t.duration_since(SimTime::ZERO).as_secs_f64();
         match self {
             TraceEvent::Arrival {

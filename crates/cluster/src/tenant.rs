@@ -29,7 +29,7 @@ pub enum ModelKind {
 impl ModelKind {
     /// Builds the network at batch 1 and the paper's 224×224 input.
     #[must_use]
-    pub fn network(self) -> Network {
+    pub(crate) fn network(self) -> Network {
         match self {
             ModelKind::ResNet18 => models::resnet18(1, 224),
             ModelKind::ResNet34 => models::resnet34(1, 224),
@@ -55,7 +55,7 @@ impl ModelKind {
     /// attempt; rebuilding the layer graph each time would dominate the
     /// dispatch hot path, so the five reference profiles are cached.
     #[must_use]
-    pub fn work_profile(self) -> &'static sgprs_gpu_sim::WorkProfile {
+    pub(crate) fn work_profile(self) -> &'static sgprs_gpu_sim::WorkProfile {
         use std::sync::OnceLock;
         static PROFILES: OnceLock<Vec<sgprs_gpu_sim::WorkProfile>> = OnceLock::new();
         let profiles = PROFILES.get_or_init(|| {
@@ -210,7 +210,7 @@ impl TenantSpec {
     ///
     /// Panics if `fps` is not a positive finite number.
     #[must_use]
-    pub fn at_fps(&self, fps: f64) -> Self {
+    pub(crate) fn at_fps(&self, fps: f64) -> Self {
         assert!(fps.is_finite() && fps > 0.0, "fps must be positive, got {fps}");
         let mut spec = self.clone();
         spec.fps = fps;
@@ -219,28 +219,28 @@ impl TenantSpec {
 
     /// The ladder steps strictly below the currently served rate, in
     /// descending order — the degrade options open to the dispatcher.
-    pub fn degrade_steps(&self) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn degrade_steps(&self) -> impl Iterator<Item = f64> + '_ {
         let fps = self.fps;
         self.fps_ladder.iter().copied().filter(move |&s| s < fps)
     }
 
     /// The release period implied by the frame rate.
     #[must_use]
-    pub fn period(&self) -> SimDuration {
+    pub(crate) fn period(&self) -> SimDuration {
         SimDuration::from_secs_f64(1.0 / self.fps)
     }
 
     /// Single-SM work per inference in seconds (`T₁` of the fluid model):
     /// the currency the admission controller budgets in.
     #[must_use]
-    pub fn work_single_sm_secs(&self) -> f64 {
+    pub(crate) fn work_single_sm_secs(&self) -> f64 {
         self.model.work_profile().total_single_sm_ns() / 1e9
     }
 
     /// Steady-state demand in SM-equivalents: `fps × T₁` — the number of
     /// fully-utilised SMs this tenant consumes on an ideal fluid device.
     #[must_use]
-    pub fn demand_sm_equivalents(&self) -> f64 {
+    pub(crate) fn demand_sm_equivalents(&self) -> f64 {
         self.fps * self.work_single_sm_secs()
     }
 
@@ -252,7 +252,7 @@ impl TenantSpec {
     /// Panics if the model cannot be split into `self.stages` stages
     /// (every reference network splits into at least nine).
     #[must_use]
-    pub fn compile_for(&self, pool: &ContextPoolSpec) -> CompiledTask {
+    pub(crate) fn compile_for(&self, pool: &ContextPoolSpec) -> CompiledTask {
         offline::compile_network_task(
             &self.name,
             &self.model.network(),

@@ -231,7 +231,7 @@ impl NaiveConfig {
 
     /// Per-context SM allocations (an exact partition of the GPU).
     #[must_use]
-    pub fn sm_allocations(&self) -> Vec<u32> {
+    pub(crate) fn sm_allocations(&self) -> Vec<u32> {
         ContextPoolSpec {
             contexts: self.contexts,
             oversubscription: 1.0,

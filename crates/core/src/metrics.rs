@@ -113,7 +113,7 @@ impl MetricsCollector {
 
     /// `true` if a release at `t` falls inside the measurement window.
     #[must_use]
-    pub fn in_window(&self, release: SimTime) -> bool {
+    pub(crate) fn in_window(&self, release: SimTime) -> bool {
         release >= self.warmup_end
     }
 
@@ -133,7 +133,7 @@ impl MetricsCollector {
 
     /// Records an admitted job of `task` (released at `release`) that was
     /// aborted because its deadline passed before it could finish.
-    pub fn record_drop(&mut self, task: usize, release: SimTime) {
+    pub(crate) fn record_drop(&mut self, task: usize, release: SimTime) {
         if self.in_window(release) {
             self.dropped[task] += 1;
         }

@@ -61,7 +61,7 @@ impl CostModel {
 
     /// ns per FLOP for the given class.
     #[must_use]
-    pub fn ns_per_flop(&self, class: OpClass) -> f64 {
+    pub(crate) fn ns_per_flop(&self, class: OpClass) -> f64 {
         match class {
             OpClass::Convolution | OpClass::Linear => self.compute_ns_per_flop,
             _ => self.light_ns_per_flop,
@@ -70,7 +70,7 @@ impl CostModel {
 
     /// Single-SM execution time of a layer in nanoseconds.
     #[must_use]
-    pub fn single_sm_ns(&self, layer: &Layer) -> f64 {
+    pub(crate) fn single_sm_ns(&self, layer: &Layer) -> f64 {
         layer.flops as f64 * self.ns_per_flop(layer.op_class())
             + layer.bytes as f64 * self.ns_per_byte
     }

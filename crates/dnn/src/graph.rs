@@ -24,7 +24,7 @@ pub struct Network {
 impl Network {
     /// The layers in topological (insertion) order.
     #[must_use]
-    pub fn layers(&self) -> &[Layer] {
+    pub(crate) fn layers(&self) -> &[Layer] {
         &self.layers
     }
 
@@ -52,13 +52,13 @@ impl Network {
 
     /// Total FLOPs per inference.
     #[must_use]
-    pub fn total_flops(&self) -> u64 {
+    pub(crate) fn total_flops(&self) -> u64 {
         self.layers.iter().map(|l| l.flops).sum()
     }
 
     /// Total bytes moved per inference.
     #[must_use]
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.layers.iter().map(|l| l.bytes).sum()
     }
 
@@ -122,8 +122,8 @@ impl NetworkBuilder {
 
     /// Appends a layer consuming the outputs of `preds`. An empty `preds`
     /// list means the layer reads the network input (or, as a convenience,
-    /// the previous layer if one exists — use [`NetworkBuilder::layer_on`]
-    /// with explicit ids to be precise).
+    /// the previous layer if one exists — pass explicit ids to be
+    /// precise).
     ///
     /// Returns the new node's id.
     ///
@@ -172,7 +172,7 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Same as [`NetworkBuilder::layer`].
-    pub fn layer_on(
+    pub(crate) fn layer_on(
         &mut self,
         name: impl Into<String>,
         kind: LayerKind,

@@ -49,7 +49,7 @@ pub enum LayerKind {
 impl LayerKind {
     /// Number of inputs the operator consumes.
     #[must_use]
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         match self {
             LayerKind::Add => 2,
             _ => 1,
@@ -58,7 +58,7 @@ impl LayerKind {
 
     /// The speedup-model operation class this operator belongs to.
     #[must_use]
-    pub fn op_class(&self) -> OpClass {
+    pub(crate) fn op_class(&self) -> OpClass {
         match self {
             LayerKind::Conv2d { .. } => OpClass::Convolution,
             LayerKind::MaxPool { .. } => OpClass::MaxPool,
@@ -77,7 +77,7 @@ impl LayerKind {
     ///
     /// [`DnnError::ArityMismatch`] or [`DnnError::ShapeMismatch`] when the
     /// inputs do not fit the operator.
-    pub fn infer_shape(
+    pub(crate) fn infer_shape(
         &self,
         name: &str,
         inputs: &[TensorShape],
@@ -162,7 +162,7 @@ impl LayerKind {
     /// Floating-point operations performed for the given input/output
     /// shapes (multiply-accumulate counted as two FLOPs).
     #[must_use]
-    pub fn flops(&self, input: TensorShape, output: TensorShape) -> u64 {
+    pub(crate) fn flops(&self, input: TensorShape, output: TensorShape) -> u64 {
         match *self {
             LayerKind::Conv2d { kernel, groups, .. } => {
                 // 2 · k² · (Cin/groups) · Cout · Hout · Wout · N
@@ -183,7 +183,7 @@ impl LayerKind {
 
     /// Parameter (weight) count of the operator.
     #[must_use]
-    pub fn params(&self, input: TensorShape, output: TensorShape) -> u64 {
+    pub(crate) fn params(&self, input: TensorShape, output: TensorShape) -> u64 {
         match *self {
             LayerKind::Conv2d { kernel, groups, .. } => {
                 kernel * kernel * (input.c / groups) * output.c + output.c
@@ -200,7 +200,7 @@ impl LayerKind {
     /// Bytes moved to/from device memory: activations in and out plus
     /// parameters, at FP32.
     #[must_use]
-    pub fn bytes(&self, inputs: &[TensorShape], output: TensorShape) -> u64 {
+    pub(crate) fn bytes(&self, inputs: &[TensorShape], output: TensorShape) -> u64 {
         let act: u64 = inputs.iter().map(TensorShape::bytes).sum::<u64>() + output.bytes();
         act + 4 * self.params(inputs[0], output)
     }
@@ -226,7 +226,7 @@ pub struct Layer {
 impl Layer {
     /// The speedup-model class of this layer.
     #[must_use]
-    pub fn op_class(&self) -> OpClass {
+    pub(crate) fn op_class(&self) -> OpClass {
         self.kind.op_class()
     }
 }

@@ -28,7 +28,7 @@ pub struct LayerRow {
 
 /// Builds the per-layer cost table for a network.
 #[must_use]
-pub fn layer_rows(net: &Network, cost: &CostModel) -> Vec<LayerRow> {
+pub(crate) fn layer_rows(net: &Network, cost: &CostModel) -> Vec<LayerRow> {
     let total_ns: f64 = net
         .layers()
         .iter()

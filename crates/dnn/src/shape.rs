@@ -35,7 +35,7 @@ impl TensorShape {
 
     /// A flat (fully connected) shape: `n × c × 1 × 1`.
     #[must_use]
-    pub const fn flat(n: u64, c: u64) -> Self {
+    pub(crate) const fn flat(n: u64, c: u64) -> Self {
         TensorShape::new(n, c, 1, 1)
     }
 
@@ -54,7 +54,7 @@ impl TensorShape {
     /// The spatial output size of a convolution/pool window with the given
     /// kernel size, stride, and symmetric padding, in one dimension.
     #[must_use]
-    pub const fn conv_out_dim(input: u64, kernel: u64, stride: u64, padding: u64) -> u64 {
+    pub(crate) const fn conv_out_dim(input: u64, kernel: u64, stride: u64, padding: u64) -> u64 {
         (input + 2 * padding - kernel) / stride + 1
     }
 }

@@ -69,7 +69,7 @@ impl ContentionModel {
     /// resident set demands `occupancy` SM-equivalents of `total_sms`
     /// physical SMs.
     #[must_use]
-    pub fn rate_factor(&self, occupancy: f64, total_sms: f64) -> f64 {
+    pub(crate) fn rate_factor(&self, occupancy: f64, total_sms: f64) -> f64 {
         if occupancy <= total_sms || occupancy <= 0.0 || total_sms <= 0.0 {
             return 1.0;
         }
@@ -79,7 +79,7 @@ impl ContentionModel {
 
     /// Jitter half-width at the given overcommit state.
     #[must_use]
-    pub fn jitter_halfwidth(&self, occupancy: f64, total_sms: f64) -> f64 {
+    pub(crate) fn jitter_halfwidth(&self, occupancy: f64, total_sms: f64) -> f64 {
         let x = if total_sms > 0.0 && occupancy > total_sms {
             occupancy / total_sms
         } else {

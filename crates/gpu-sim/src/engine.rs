@@ -40,7 +40,7 @@
 use crate::{ContentionModel, GpuSimError, KernelDesc, SpeedupModel, TraceRecorder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sgprs_rt::{SimDuration, SimTime};
+use sgprs_rt::SimTime;
 use std::collections::VecDeque;
 
 /// Identifier of a context in the engine's context pool.
@@ -91,10 +91,6 @@ pub struct ContextConfig {
     pub high_streams: usize,
     /// Number of low-priority streams (paper: 2).
     pub low_streams: usize,
-    /// Processor-sharing weight of a kernel on a high stream.
-    pub high_weight: f64,
-    /// Processor-sharing weight of a kernel on a low stream.
-    pub low_weight: f64,
 }
 
 impl ContextConfig {
@@ -105,8 +101,6 @@ impl ContextConfig {
             sm_alloc,
             high_streams: 2,
             low_streams: 2,
-            high_weight: 2.0,
-            low_weight: 1.0,
         }
     }
 
@@ -115,14 +109,6 @@ impl ContextConfig {
     pub fn with_streams(mut self, high: usize, low: usize) -> Self {
         self.high_streams = high;
         self.low_streams = low;
-        self
-    }
-
-    /// Overrides the priority weights.
-    #[must_use]
-    pub fn with_weights(mut self, high: f64, low: f64) -> Self {
-        self.high_weight = high;
-        self.low_weight = low;
         self
     }
 
@@ -178,7 +164,9 @@ struct RunningKernel {
     handle: KernelHandle,
     context: ContextId,
     stream: StreamId,
-    class: StreamClass,
+    /// Processor-sharing weight of the kernel's stream class. Cached at
+    /// submit so the reflow reads it without a per-kernel branch.
+    weight: f64,
     desc: KernelDesc,
     /// Multiplicative execution-time jitter sampled at submit.
     jitter: f64,
@@ -206,11 +194,16 @@ struct ContextState {
     weight_sum: f64,
 }
 
+/// Processor-sharing weight of a kernel on a high stream.
+const HIGH_WEIGHT: f64 = 2.0;
+/// Processor-sharing weight of a kernel on a low stream.
+const LOW_WEIGHT: f64 = 1.0;
+
 impl ContextState {
     fn weight(&self, class: StreamClass) -> f64 {
         match class {
-            StreamClass::High => self.config.high_weight,
-            StreamClass::Low => self.config.low_weight,
+            StreamClass::High => HIGH_WEIGHT,
+            StreamClass::Low => LOW_WEIGHT,
         }
     }
 
@@ -272,7 +265,6 @@ pub struct GpuEngine {
 #[derive(Debug)]
 pub struct GpuEngineBuilder {
     spec: crate::GpuSpec,
-    speedup: SpeedupModel,
     contention: ContentionModel,
     contexts: Vec<ContextConfig>,
     seed: u64,
@@ -293,13 +285,6 @@ impl GpuEngineBuilder {
         for _ in 0..n {
             self.contexts.push(config);
         }
-        self
-    }
-
-    /// Replaces the calibrated speedup model.
-    #[must_use]
-    pub fn speedup_model(mut self, model: SpeedupModel) -> Self {
-        self.speedup = model;
         self
     }
 
@@ -339,7 +324,7 @@ impl GpuEngineBuilder {
         let busy_ns = vec![0.0; contexts.len()];
         GpuEngine {
             spec: self.spec,
-            speedup: self.speedup,
+            speedup: SpeedupModel::calibrated_rtx_2080_ti(),
             contention: self.contention,
             contexts,
             running: Vec::new(),
@@ -367,18 +352,11 @@ impl GpuEngine {
     pub fn builder(spec: crate::GpuSpec) -> GpuEngineBuilder {
         GpuEngineBuilder {
             spec,
-            speedup: SpeedupModel::calibrated_rtx_2080_ti(),
             contention: ContentionModel::calibrated(),
             contexts: Vec::new(),
             seed: 0x5672_5053,
             trace: false,
         }
-    }
-
-    /// The simulated device.
-    #[must_use]
-    pub fn spec(&self) -> &crate::GpuSpec {
-        &self.spec
     }
 
     /// The speedup model in use.
@@ -423,19 +401,15 @@ impl GpuEngine {
 
     /// Estimated isolated duration of `desc` in context `ctx`: the time the
     /// kernel would take if it were the only resident kernel device-wide.
-    /// Schedulers use this for finish-time estimation and offline WCET
-    /// profiling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` is out of range.
+    /// The reference the engine tests compare simulated durations against.
+    #[cfg(test)]
     #[must_use]
-    pub fn estimate_isolated(&self, ctx: ContextId, desc: &KernelDesc) -> SimDuration {
+    fn estimate_isolated(&self, ctx: ContextId, desc: &KernelDesc) -> sgprs_rt::SimDuration {
         let sm = f64::from(self.contexts[ctx.0].config.sm_alloc);
         let ns = self.spec.launch_overhead_ns as f64
             + desc.extra_ns
             + desc.work.duration_ns_at(&self.speedup, sm);
-        SimDuration::from_nanos(ns.round() as u64)
+        sgprs_rt::SimDuration::from_nanos(ns.round() as u64)
     }
 
     /// Submits a kernel to an idle stream of `class` in context `ctx`.
@@ -461,6 +435,7 @@ impl GpuEngine {
                 context: ctx.0,
                 class,
             })?;
+        let weight = state.weight(class);
 
         // Progress everyone to `now` under the old rates before the
         // resident set changes.
@@ -491,7 +466,7 @@ impl GpuEngine {
             handle,
             context: ctx,
             stream,
-            class,
+            weight,
             desc,
             jitter,
             remaining: 1.0,
@@ -659,7 +634,7 @@ impl GpuEngine {
         }
         for k in &self.running {
             let c = &mut self.contexts[k.context.0];
-            c.weight_sum += c.weight(k.class);
+            c.weight_sum += k.weight;
         }
         // The effective SM share of each kernel: its context's allocation
         // split among resident kernels by stream-priority weight.
@@ -668,7 +643,7 @@ impl GpuEngine {
         for k in &mut self.running {
             let c = &contexts[k.context.0];
             let share = if c.weight_sum > 0.0 {
-                c.weight(k.class) / c.weight_sum
+                k.weight / c.weight_sum
             } else {
                 1.0
             };

@@ -51,7 +51,6 @@ mod error;
 mod kernel;
 mod spec;
 mod speedup;
-mod stats;
 mod trace;
 
 pub use contention::ContentionModel;
@@ -63,5 +62,4 @@ pub use error::GpuSimError;
 pub use kernel::{KernelDesc, WorkProfile, WorkSegment};
 pub use spec::GpuSpec;
 pub use speedup::{OpClass, SpeedupCurve, SpeedupModel};
-pub use stats::{UtilizationRecorder, UtilizationSample};
 pub use trace::{KernelSpan, TraceRecorder};

@@ -85,7 +85,7 @@ impl SpeedupCurve {
     ///
     /// Panics if `p` is not in `[0, 1]` or not finite.
     #[must_use]
-    pub fn from_parallel_fraction(p: f64) -> Self {
+    pub(crate) fn from_parallel_fraction(p: f64) -> Self {
         assert!(
             p.is_finite() && (0.0..=1.0).contains(&p),
             "parallel fraction must be in [0,1], got {p}"
@@ -102,7 +102,7 @@ impl SpeedupCurve {
     /// Panics if `target < 1`, `m_ref ≤ 1`, or the target exceeds the
     /// theoretical maximum speedup `m_ref`.
     #[must_use]
-    pub fn fitted(target: f64, m_ref: f64) -> Self {
+    pub(crate) fn fitted(target: f64, m_ref: f64) -> Self {
         assert!(target >= 1.0, "speedup target must be ≥ 1, got {target}");
         assert!(m_ref > 1.0, "reference SM count must exceed 1");
         assert!(
@@ -116,13 +116,13 @@ impl SpeedupCurve {
 
     /// The fitted parallel fraction.
     #[must_use]
-    pub fn parallel_fraction(self) -> f64 {
+    pub(crate) fn parallel_fraction(self) -> f64 {
         self.parallel_fraction
     }
 
     /// Speedup at `m` SMs (fractional `m` allowed; `m ≤ 0` yields 0).
     #[must_use]
-    pub fn speedup(self, m: f64) -> f64 {
+    pub(crate) fn speedup(self, m: f64) -> f64 {
         if m <= 0.0 {
             return 0.0;
         }
@@ -131,17 +131,6 @@ impl SpeedupCurve {
         }
         let p = self.parallel_fraction;
         1.0 / ((1.0 - p) + p / m)
-    }
-
-    /// Asymptotic speedup `1 / (1 − p)` (∞ for p = 1).
-    #[must_use]
-    pub fn asymptote(self) -> f64 {
-        let serial = 1.0 - self.parallel_fraction;
-        if serial <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / serial
-        }
     }
 }
 
@@ -196,7 +185,7 @@ impl SpeedupModel {
     ///
     /// Panics if any target is infeasible (see [`SpeedupCurve::fitted`]).
     #[must_use]
-    pub fn from_targets(targets: &[(OpClass, f64)], m_ref: f64) -> Self {
+    pub(crate) fn from_targets(targets: &[(OpClass, f64)], m_ref: f64) -> Self {
         let mut fitted = [None; OpClass::ALL.len()];
         let mut slowest: Option<SpeedupCurve> = None;
         for &(op, s) in targets {
@@ -215,7 +204,7 @@ impl SpeedupModel {
 
     /// The curve for `op`.
     #[must_use]
-    pub fn curve(&self, op: OpClass) -> SpeedupCurve {
+    pub(crate) fn curve(&self, op: OpClass) -> SpeedupCurve {
         self.curves[op as usize]
     }
 
@@ -300,14 +289,6 @@ mod tests {
                 at68(op)
             );
         }
-    }
-
-    #[test]
-    fn asymptote_bounds_measured_speedup() {
-        let c = SpeedupCurve::fitted(32.0, 68.0);
-        assert!(c.asymptote() > 32.0);
-        let perfectly_parallel = SpeedupCurve::from_parallel_fraction(1.0);
-        assert!(perfectly_parallel.asymptote().is_infinite());
     }
 
     #[test]

@@ -45,12 +45,12 @@ pub struct TraceRecorder {
 impl TraceRecorder {
     /// Creates an empty recorder.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TraceRecorder::default()
     }
 
     /// Records a kernel start.
-    pub fn begin(
+    pub(crate) fn begin(
         &mut self,
         kernel: KernelHandle,
         label: &str,
@@ -70,7 +70,7 @@ impl TraceRecorder {
     }
 
     /// Records a kernel completion. Unknown handles are ignored.
-    pub fn end(&mut self, kernel: KernelHandle, at: SimTime) {
+    pub(crate) fn end(&mut self, kernel: KernelHandle, at: SimTime) {
         if let Some(idx) = self.open.remove(&kernel) {
             self.spans[idx].end = Some(at);
         }

@@ -61,7 +61,7 @@ impl StageInstance {
     /// Creates a blocked instance with the given absolute deadline and
     /// offline priority.
     #[must_use]
-    pub fn new(stage: StageId, absolute_deadline: SimTime, priority: PriorityLevel) -> Self {
+    pub(crate) fn new(stage: StageId, absolute_deadline: SimTime, priority: PriorityLevel) -> Self {
         StageInstance {
             stage,
             state: StageState::Blocked,
@@ -75,18 +75,8 @@ impl StageInstance {
 
     /// `true` once the stage has completed.
     #[must_use]
-    pub fn is_completed(&self) -> bool {
+    pub(crate) fn is_completed(&self) -> bool {
         matches!(self.state, StageState::Completed)
-    }
-
-    /// `true` if the stage completed after its absolute (virtual) deadline,
-    /// or has not completed although the deadline already passed at `now`.
-    #[must_use]
-    pub fn missed_deadline(&self, now: SimTime) -> bool {
-        match self.completed_at {
-            Some(t) => t > self.absolute_deadline,
-            None => now > self.absolute_deadline,
-        }
     }
 }
 
@@ -154,12 +144,6 @@ impl Job {
             stages,
             completed_at: None,
         }
-    }
-
-    /// `true` once every stage (or the monolithic job) has completed.
-    #[must_use]
-    pub fn is_completed(&self) -> bool {
-        self.completed_at.is_some()
     }
 
     /// The job's outcome relative to its whole-job deadline, if finished.
@@ -252,7 +236,6 @@ impl JobOutcome {
 pub struct ReleaseGenerator {
     next: SimTime,
     period: SimDuration,
-    index: u64,
 }
 
 impl ReleaseGenerator {
@@ -262,7 +245,6 @@ impl ReleaseGenerator {
         ReleaseGenerator {
             next: phase,
             period,
-            index: 0,
         }
     }
 
@@ -272,27 +254,9 @@ impl ReleaseGenerator {
         self.next
     }
 
-    /// The 0-based index of the upcoming release.
-    #[must_use]
-    pub fn next_index(&self) -> u64 {
-        self.index
-    }
-
     /// Consumes the upcoming release, moving to the one after.
     pub fn advance(&mut self) {
         self.next += self.period;
-        self.index += 1;
-    }
-
-    /// Skips forward until the upcoming release is strictly after `now`.
-    /// Returns how many releases were skipped.
-    pub fn skip_until_after(&mut self, now: SimTime) -> u64 {
-        let mut skipped = 0;
-        while self.next <= now {
-            self.advance();
-            skipped += 1;
-        }
-        skipped
     }
 }
 
@@ -346,10 +310,10 @@ mod tests {
         assert_eq!(ready, vec![1]);
         let ready = job.complete_stage(1, SimTime::ZERO + ms(12), &t);
         assert_eq!(ready, vec![2]);
-        assert!(!job.is_completed());
+        assert!(job.completed_at.is_none());
         let ready = job.complete_stage(2, SimTime::ZERO + ms(20), &t);
         assert!(ready.is_empty());
-        assert!(job.is_completed());
+        assert!(job.completed_at.is_some());
         assert!(job.outcome().unwrap().met());
     }
 
@@ -391,23 +355,10 @@ mod tests {
     }
 
     #[test]
-    fn stage_miss_detection_uses_now_for_unfinished_stages() {
-        let t = chain_task();
-        let job = Job::release(TaskId(0), 0, &t, SimTime::ZERO);
-        assert!(!job.stages[0].missed_deadline(SimTime::ZERO + ms(9)));
-        assert!(job.stages[0].missed_deadline(SimTime::ZERO + ms(11)));
-    }
-
-    #[test]
     fn release_generator_steps_and_skips() {
         let mut g = ReleaseGenerator::new(SimTime::ZERO, ms(10));
-        assert_eq!(g.next_index(), 0);
         g.advance();
         g.advance();
         assert_eq!(g.next_release(), SimTime::ZERO + ms(20));
-        assert_eq!(g.next_index(), 2);
-        let skipped = g.skip_until_after(SimTime::ZERO + ms(45));
-        assert_eq!(skipped, 3);
-        assert_eq!(g.next_release(), SimTime::ZERO + ms(50));
     }
 }

@@ -13,9 +13,8 @@
 //!   SGPRS's stage queuing.
 //! * [`EdfQueue`] — an earliest-deadline-first ready queue with FIFO
 //!   tie-breaking, used inside every priority band.
-//! * [`analysis`] — classic schedulability analysis (utilisation bounds,
-//!   hyperperiods, demand-bound functions) used by tests and by the
-//!   experiment harness to sanity-check generated task sets.
+//! * [`analysis`] — the density feasibility bound that fleet admission
+//!   control checks before placing a tenant.
 //!
 //! # Example
 //!

@@ -29,12 +29,6 @@ impl PriorityLevel {
         PriorityLevel::Low,
     ];
 
-    /// `true` for the offline-assigned high level.
-    #[must_use]
-    pub fn is_high(self) -> bool {
-        matches!(self, PriorityLevel::High)
-    }
-
     /// The level a low stage is promoted to after an upstream miss; high
     /// and medium stages keep their level.
     #[must_use]
@@ -68,7 +62,7 @@ impl PriorityAssignment {
     /// Computes the offline priority of stage `index` given the task's sink
     /// stage indices.
     #[must_use]
-    pub fn offline_level(sink_stages: &[usize], index: usize) -> PriorityLevel {
+    pub(crate) fn offline_level(sink_stages: &[usize], index: usize) -> PriorityLevel {
         if sink_stages.contains(&index) {
             PriorityLevel::High
         } else {

@@ -112,14 +112,14 @@ impl PeriodicTaskSpec {
 
     /// Task utilisation `Ci / Ti`.
     #[must_use]
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         self.wcet.ratio(self.period)
     }
 
     /// Density `Ci / min(Di, Ti)`, the constrained-deadline analogue of
     /// utilisation.
     #[must_use]
-    pub fn density(&self) -> f64 {
+    pub(crate) fn density(&self) -> f64 {
         let bound = self.deadline.min(self.period);
         self.wcet.ratio(bound)
     }
@@ -147,7 +147,7 @@ impl PeriodicTaskSpec {
     /// The order is stable for chains (identity). The graph was validated as
     /// acyclic at construction, so this never fails for built tasks.
     #[must_use]
-    pub fn topological_order(&self) -> Vec<usize> {
+    pub(crate) fn topological_order(&self) -> Vec<usize> {
         topological_order(&self.stages).expect("stage graph validated at construction")
     }
 
@@ -164,7 +164,7 @@ impl PeriodicTaskSpec {
 
     /// Indices of stages that no other stage depends on (DAG sinks).
     #[must_use]
-    pub fn sink_stages(&self) -> Vec<usize> {
+    pub(crate) fn sink_stages(&self) -> Vec<usize> {
         let mut has_successor = vec![false; self.stages.len()];
         for s in &self.stages {
             for &p in &s.predecessors {
@@ -236,7 +236,6 @@ pub struct PeriodicTaskSpecBuilder {
     deadline: Option<SimDuration>,
     wcet: Option<SimDuration>,
     stages: Vec<StageSpec>,
-    phase: SimDuration,
 }
 
 impl PeriodicTaskSpecBuilder {
@@ -247,7 +246,6 @@ impl PeriodicTaskSpecBuilder {
             deadline: None,
             wcet: None,
             stages: Vec::new(),
-            phase: SimDuration::ZERO,
         }
     }
 
@@ -299,13 +297,6 @@ impl PeriodicTaskSpecBuilder {
         self
     }
 
-    /// Sets the first-release offset.
-    #[must_use]
-    pub fn phase(mut self, phase: SimDuration) -> Self {
-        self.phase = phase;
-        self
-    }
-
     /// Validates and builds the task.
     ///
     /// # Errors
@@ -351,7 +342,7 @@ impl PeriodicTaskSpecBuilder {
             deadline,
             wcet,
             stages: self.stages,
-            phase: self.phase,
+            phase: SimDuration::ZERO,
         })
     }
 }
@@ -385,31 +376,6 @@ impl TaskSet {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
-    }
-
-    /// The task with the given id, if present.
-    #[must_use]
-    pub fn get(&self, id: TaskId) -> Option<&PeriodicTaskSpec> {
-        self.tasks.get(id.0)
-    }
-
-    /// Mutable access to the task with the given id, if present.
-    #[must_use]
-    pub fn get_mut(&mut self, id: TaskId) -> Option<&mut PeriodicTaskSpec> {
-        self.tasks.get_mut(id.0)
-    }
-
-    /// Iterates over `(TaskId, &task)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (TaskId, &PeriodicTaskSpec)> {
-        self.tasks.iter().enumerate().map(|(i, t)| (TaskId(i), t))
-    }
-
-    /// Iterates mutably over `(TaskId, &mut task)` pairs.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (TaskId, &mut PeriodicTaskSpec)> {
-        self.tasks
-            .iter_mut()
-            .enumerate()
-            .map(|(i, t)| (TaskId(i), t))
     }
 
     /// Total utilisation `Σ Ci/Ti`.

@@ -60,7 +60,7 @@ impl SimTime {
 
     /// Seconds since the epoch as a float (for reporting only).
     #[must_use]
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -69,12 +69,6 @@ impl SimTime {
     #[must_use]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition; `None` on overflow.
-    #[must_use]
-    pub fn checked_add(self, rhs: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(rhs.0).map(SimTime)
     }
 
     /// Saturating addition that never overflows past [`SimTime::MAX`].
@@ -155,12 +149,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The span in microseconds, truncating.
-    #[must_use]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// The span in milliseconds, truncating.
     #[must_use]
     pub const fn as_millis(self) -> u64 {
@@ -205,12 +193,6 @@ impl SimDuration {
         SimDuration(self.0.div_ceil(divisor))
     }
 
-    /// Checked subtraction; `None` if `rhs` is longer than `self`.
-    #[must_use]
-    pub fn checked_sub(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(rhs.0).map(SimDuration)
-    }
-
     /// Saturating subtraction (clamps at zero).
     #[must_use]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
@@ -220,7 +202,7 @@ impl SimDuration {
     /// The ratio of two spans as a float. Returns `f64::INFINITY` when
     /// dividing by the empty span.
     #[must_use]
-    pub fn ratio(self, other: SimDuration) -> f64 {
+    pub(crate) fn ratio(self, other: SimDuration) -> f64 {
         if other.0 == 0 {
             f64::INFINITY
         } else {

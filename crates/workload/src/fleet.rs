@@ -353,15 +353,6 @@ impl FleetScenario {
         self
     }
 
-    /// Enables migration off overloaded nodes at the given DMR
-    /// threshold (relabels like [`FleetScenario::with_placement`]).
-    #[must_use]
-    pub fn with_migration(mut self, dmr_threshold: f64) -> Self {
-        self.migration = Some(dmr_threshold);
-        self.label = format!("{} [migration@{dmr_threshold}]", self.label);
-        self
-    }
-
     /// Switches the scenario to event-driven execution
     /// ([`Fleet::run_events`]) and relabels it.
     #[must_use]
@@ -511,7 +502,7 @@ impl FleetScenario {
 /// The heterogeneous reference fleet: one full 2080 Ti plus three
 /// progressively smaller devices (46, 34, 23 SMs).
 #[must_use]
-pub fn heterogeneous_nodes() -> Vec<NodeSpec> {
+pub(crate) fn heterogeneous_nodes() -> Vec<NodeSpec> {
     vec![
         NodeSpec::sgprs("gpu0-68sm", GpuSpec::rtx_2080_ti()),
         NodeSpec::sgprs("gpu1-46sm", GpuSpec::synthetic(46)),

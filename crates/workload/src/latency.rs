@@ -30,7 +30,7 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Builds the summary from run metrics.
     #[must_use]
-    pub fn from_metrics(label: &str, tasks: usize, m: &RunMetrics) -> Self {
+    pub(crate) fn from_metrics(label: &str, tasks: usize, m: &RunMetrics) -> Self {
         LatencySummary {
             label: label.to_owned(),
             tasks,

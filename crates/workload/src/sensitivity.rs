@@ -34,7 +34,7 @@ pub struct SensitivityPoint {
 /// Probes one perturbed configuration at a saturating load (np=3,
 /// os=1.5, 28 tasks).
 #[must_use]
-pub fn probe(
+pub(crate) fn probe(
     knob: &str,
     contention: ContentionModel,
     switch_ns: f64,

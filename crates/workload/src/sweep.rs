@@ -72,15 +72,9 @@ impl SweepSeries {
         self.points.last().map_or(0.0, |p| p.total_fps)
     }
 
-    /// Peak FPS across the sweep.
-    #[must_use]
-    pub fn peak_fps(&self) -> f64 {
-        self.points.iter().fold(0.0, |acc, p| acc.max(p.total_fps))
-    }
-
     /// DMR at the largest task count.
     #[must_use]
-    pub fn final_dmr(&self) -> f64 {
+    pub(crate) fn final_dmr(&self) -> f64 {
         self.points.last().map_or(0.0, |p| p.dmr)
     }
 }
@@ -200,7 +194,6 @@ mod tests {
         };
         assert_eq!(series.pivot_point(), 2);
         assert!((series.final_fps() - 80.0).abs() < 1e-9);
-        assert!((series.peak_fps() - 80.0).abs() < 1e-9);
         assert!((series.final_dmr() - 0.1).abs() < 1e-9);
     }
 

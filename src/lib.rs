@@ -8,7 +8,7 @@
 //! # Layer map
 //!
 //! * [`rt`] — simulated time, the periodic task model, EDF queues, and
-//!   classic schedulability analysis.
+//!   the density feasibility bound used by admission control.
 //! * [`gpu_sim`] — the discrete-event GPU: contexts, prioritised
 //!   streams, calibrated speedup curves, contention, tracing.
 //! * [`dnn`] — the model zoo (ResNet18/34, VGG-16, AlexNet, MobileNet),

@@ -1,6 +1,7 @@
 //! End-to-end shape tests: the paper's qualitative claims must hold on
 //! short simulations. (The full quantitative sweeps live in the
-//! `sgprs-bench` binaries; see EXPERIMENTS.md.)
+//! `sgprs-bench` binaries and perfbench's `paper_sweep` workload; see
+//! perfbench/README.md.)
 
 use sgprs_suite::core::{NaiveConfig, NaiveScheduler, SgprsConfig, SgprsScheduler};
 use sgprs_suite::rt::{SimDuration, SimTime};

@@ -4,8 +4,7 @@
 use proptest::prelude::*;
 use sgprs_suite::core::{offline, ContextPoolSpec, SgprsConfig, SgprsScheduler};
 use sgprs_suite::dnn::{models, partition, CostModel};
-use sgprs_suite::rt::{analysis, EdfQueue, SimDuration, SimTime};
-use sgprs_suite::workload::generator;
+use sgprs_suite::rt::{EdfQueue, SimDuration, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -37,21 +36,6 @@ proptest! {
         prop_assert!(m.total_fps >= 0.0);
         prop_assert!(m.response_p50 <= m.response_p95);
         prop_assert!(m.response_p95 <= m.response_max);
-    }
-
-    /// UUniFast always returns utilisations that are positive and sum to
-    /// the requested total.
-    #[test]
-    fn uunifast_is_a_valid_simplex_sample(
-        n in 1usize..64,
-        total in 0.01f64..8.0,
-        seed in any::<u64>(),
-    ) {
-        let utils = generator::uunifast(n, total, seed);
-        prop_assert_eq!(utils.len(), n);
-        let sum: f64 = utils.iter().sum();
-        prop_assert!((sum - total).abs() < 1e-9 * total.max(1.0));
-        prop_assert!(utils.iter().all(|&u| u >= 0.0));
     }
 
     /// Every partition of every reference network covers each layer
@@ -102,28 +86,5 @@ proptest! {
             prop_assert!(e.deadline >= prev);
             prev = e.deadline;
         }
-    }
-
-    /// The demand-bound function is monotone in the window length.
-    #[test]
-    fn demand_bound_is_monotone(
-        periods_ms in prop::collection::vec(5u64..100, 1..8),
-        t1_ms in 0u64..500,
-        t2_ms in 0u64..500,
-    ) {
-        let set: sgprs_suite::rt::TaskSet = periods_ms
-            .iter()
-            .map(|&p| {
-                sgprs_suite::rt::PeriodicTaskSpec::builder("t")
-                    .period(SimDuration::from_millis(p))
-                    .wcet(SimDuration::from_millis(1.max(p / 4)))
-                    .build()
-                    .expect("valid")
-            })
-            .collect();
-        let (lo, hi) = if t1_ms <= t2_ms { (t1_ms, t2_ms) } else { (t2_ms, t1_ms) };
-        let d_lo = analysis::demand_bound(&set, SimDuration::from_millis(lo));
-        let d_hi = analysis::demand_bound(&set, SimDuration::from_millis(hi));
-        prop_assert!(d_lo <= d_hi);
     }
 }
